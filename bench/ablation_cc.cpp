@@ -20,8 +20,9 @@ using namespace pels;
 
 namespace {
 
-std::unique_ptr<CongestionController> make_controller(const std::string& name) {
-  if (name == "MKC") return std::make_unique<MkcController>(MkcConfig{});
+std::unique_ptr<CongestionController> make_controller(const std::string& name,
+                                                      FlowTable& table, FlowSlot slot) {
+  if (name == "MKC") return std::make_unique<SlotController>(table, slot);
   if (name == "AIMD") {
     AimdConfig cfg;
     cfg.initial_rate_bps = 128e3;
@@ -46,7 +47,9 @@ int main() {
       cfg.pels_flows = 2;
       cfg.tcp_flows = 3;
       cfg.seed = 7;
-      cfg.make_controller = [&name](int) { return make_controller(name); };
+      cfg.make_controller = [&name](int, FlowTable& table, FlowSlot slot) {
+        return make_controller(name, table, slot);
+      };
       DumbbellScenario s(cfg);
       const SimTime duration = 60 * kSecond;
       s.run_until(duration);

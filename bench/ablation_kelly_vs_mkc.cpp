@@ -56,7 +56,7 @@ int main() {
   cfg.pels_flows = 2;
   cfg.tcp_flows = 3;
   cfg.seed = 7;
-  cfg.make_controller = [](int) {
+  cfg.make_controller = [](int, FlowTable&, FlowSlot) {
     KellyClassicConfig kcfg;
     kcfg.kappa = 0.5;
     kcfg.willingness_bps = 40e3;

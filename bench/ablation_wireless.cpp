@@ -35,7 +35,7 @@ Result run(double wireless_loss, bool tfrc) {
   cfg.seed = 13;
   cfg.wireless_loss = wireless_loss;
   if (tfrc) {
-    cfg.make_controller = [](int) {
+    cfg.make_controller = [](int, FlowTable&, FlowSlot) {
       TfrcLiteConfig tcfg;
       tcfg.initial_rate_bps = 128e3;
       return std::make_unique<TfrcLiteController>(tcfg);

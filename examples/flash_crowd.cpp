@@ -10,7 +10,7 @@
 // Run: ./build/examples/flash_crowd
 #include <iostream>
 
-#include "cc/mkc.h"
+#include "analysis/stability.h"
 #include "pels/scenario.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -40,7 +40,7 @@ int main() {
     const SimTime t1 = t0 + 10 * kSecond;
     const int active = std::min(kFlows, 2 * (1 + static_cast<int>(t0 / (10 * kSecond))));
     const double r_star =
-        MkcController::stationary_rate(s.video_capacity_bps(), active, cfg.mkc);
+        mkc_stationary_rate(s.video_capacity_bps(), active, cfg.mkc.alpha_bps, cfg.mkc.beta);
     table.add_row({TablePrinter::fmt(to_seconds(t0), 0) + "-" +
                        TablePrinter::fmt(to_seconds(t1), 0),
                    TablePrinter::fmt_int(active),
@@ -64,8 +64,10 @@ int main() {
   summary.add_row({"per-flow rate (kb/s, mean)",
                    TablePrinter::fmt(rates[0] / 1e3, 0)});
   summary.add_row({"stationary prediction (kb/s)",
-                   TablePrinter::fmt(MkcController::stationary_rate(
-                                         s.video_capacity_bps(), kFlows, cfg.mkc) / 1e3, 0)});
+                   TablePrinter::fmt(mkc_stationary_rate(s.video_capacity_bps(), kFlows,
+                                                         cfg.mkc.alpha_bps, cfg.mkc.beta) /
+                                         1e3,
+                                     0)});
   summary.add_row({"mean FGS utility across flows", TablePrinter::fmt(utilities.mean(), 3)});
   summary.add_row({"worst FGS utility", TablePrinter::fmt(utilities.min(), 3)});
   summary.add_row(

@@ -30,8 +30,6 @@ bool gamma_converges(double gamma0, double p, double sigma, double p_thr, int st
   return std::abs(g.back() - fixed_point) <= tolerance;
 }
 
-bool gamma_stable_gain(double sigma) { return sigma > 0.0 && sigma < 2.0; }
-
 MkcTrajectory mkc_trajectory(std::vector<double> initial_rates, double capacity,
                              double alpha, double beta, int steps, int delay,
                              double min_rate) {

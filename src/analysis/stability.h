@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "video/gamma_controller.h"  // gamma_stable_gain (Lemma 2/3)
+
 namespace pels {
 
 /// Trajectory of gamma(k) under eq. (4) with constant loss p, optionally with
@@ -22,9 +24,6 @@ std::vector<double> gamma_trajectory(double gamma0, double p, double sigma, doub
 /// point p/p_thr within `tolerance` by the end of `steps` iterations.
 bool gamma_converges(double gamma0, double p, double sigma, double p_thr, int steps,
                      int delay = 1, double tolerance = 1e-3);
-
-/// Lemma 2/3: the gamma controller is stable iff 0 < sigma < 2 (any delay).
-bool gamma_stable_gain(double sigma);
 
 /// Synchronous multi-flow MKC iterate (eq. (8) with router feedback (9)):
 /// every flow sees the same loss p(k) = (sum r_j - C) / sum r_j each step.

@@ -14,20 +14,16 @@
 // ECN marks are congestion events with a gentler backoff (ABE, RFC 8511).
 //
 // Kernel contract (see cc/mkc.h): the update maps are free inline kernels on
-// caller-owned scalars. CubicController applies them to members, FlowTable to
-// its contiguous columns — bit-for-bit identical, pinned by tests/cc_zoo_test.
+// caller-owned scalars; FlowTable applies them to a kCubic slot's columns.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "util/time.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct CubicConfig {
   double c = 0.4;          // cubic scaling constant (RFC 9438 §4.1)
@@ -90,40 +86,5 @@ inline void cubic_tick_step(const CubicConfig& cfg, SimTime now, SimTime srtt,
   }
   rate = cubic_rate_from_cwnd(cfg, cwnd, srtt);
 }
-
-class CubicController : public CongestionController {
- public:
-  explicit CubicController(CubicConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kCubic slot.
-  CubicController(FlowTable& table, FlowSlot slot);
-
-  double rate_bps() const override;
-  /// Router feedback labels are MKC's signal; CUBIC steers by loss/marks.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "CUBIC"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  double cwnd_pkts() const;
-  double w_max() const;
-  SimTime srtt() const;
-
-  const CubicConfig& config() const { return cfg_; }
-
- private:
-  CubicConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  double cwnd_;
-  double w_max_ = 0.0;
-  double k_ = 0.0;
-  SimTime epoch_start_ = 0;
-  SimTime srtt_ = 0;
-};
 
 }  // namespace pels

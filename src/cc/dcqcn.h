@@ -15,19 +15,13 @@
 // ignored loss would be blind outside its native lossless fabric.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars; DcqcnController applies them to members, FlowTable to columns —
-// bit-for-bit identical, pinned by tests/cc_zoo_test.cpp.
+// scalars; FlowTable applies them to a kDcqcn slot's columns.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
-
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct DcqcnConfig {
   double alpha_g = 1.0 / 16.0;  // alpha EWMA gain (the paper's g)
@@ -58,36 +52,5 @@ inline void dcqcn_increase_step(const DcqcnConfig& cfg, double& rate, double& ta
     target = std::min(target + cfg.rate_ai_bps, cfg.max_rate_bps);
   rate = std::min(0.5 * (target + rate), cfg.max_rate_bps);
 }
-
-class DcqcnController : public CongestionController {
- public:
-  explicit DcqcnController(DcqcnConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kDcqcn slot.
-  DcqcnController(FlowTable& table, FlowSlot slot);
-
-  double rate_bps() const override;
-  /// Router labels are MKC's signal; DCQCN steers by the ECN echo stream.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  const char* name() const override { return "DCQCN"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  double alpha() const;
-  double target_rate_bps() const;
-  std::int32_t recovery_stage() const;
-
-  const DcqcnConfig& config() const { return cfg_; }
-
- private:
-  DcqcnConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  double target_;
-  double alpha_;
-  std::int32_t stage_ = 0;
-};
 
 }  // namespace pels

@@ -17,17 +17,39 @@ const char* cc_kind_name(CcKind kind) {
 
 FlowTable::FlowTable(MkcConfig mkc, GammaConfig gamma, CcZooConfig zoo)
     : mkc_(mkc), gamma_cfg_(gamma), zoo_cfg_(zoo) {
-  // Same domain checks as the controllers' constructors; unstable gamma
-  // gains stay allowed on purpose (Figure 5 demonstrates divergence).
+  // Domain checks of every control law; unstable gamma gains stay allowed on
+  // purpose (Figure 5 demonstrates divergence).
+  [[maybe_unused]] const auto rates_ok = [](double lo, double init, double hi) {
+    return lo > 0.0 && lo <= init && init <= hi;
+  };
   assert(mkc_.alpha_bps > 0.0);
   assert(mkc_.beta > 0.0 && mkc_.beta < 2.0 && "MKC is stable only for beta in (0, 2)");
-  assert(mkc_.min_rate_bps > 0.0 && mkc_.min_rate_bps <= mkc_.initial_rate_bps);
-  assert(mkc_.initial_rate_bps <= mkc_.max_rate_bps);
+  assert(rates_ok(mkc_.min_rate_bps, mkc_.initial_rate_bps, mkc_.max_rate_bps));
   assert(gamma_cfg_.p_thr > 0.0 && gamma_cfg_.p_thr <= 1.0);
   assert(gamma_cfg_.gamma_low >= 0.0 && gamma_cfg_.gamma_low < gamma_cfg_.gamma_high &&
          gamma_cfg_.gamma_high <= 1.0);
   assert(gamma_cfg_.initial_gamma >= gamma_cfg_.gamma_low &&
          gamma_cfg_.initial_gamma <= gamma_cfg_.gamma_high);
+  [[maybe_unused]] const CubicConfig& cu = zoo_cfg_.cubic;
+  assert(cu.c > 0.0 && cu.beta > 0.0 && cu.beta < 1.0);
+  assert(cu.ecn_beta > 0.0 && cu.ecn_beta < 1.0 && cu.mss_bytes > 0.0);
+  assert(cu.min_cwnd_pkts > 0.0 && cu.min_cwnd_pkts <= cu.initial_cwnd_pkts);
+  assert(cu.initial_rtt > 0);
+  [[maybe_unused]] const DcqcnConfig& dc = zoo_cfg_.dcqcn;
+  assert(dc.alpha_g > 0.0 && dc.alpha_g <= 1.0);
+  assert(dc.initial_alpha >= 0.0 && dc.initial_alpha <= 1.0);
+  assert(dc.rate_ai_bps > 0.0 && dc.fast_recovery_stages >= 0);
+  assert(rates_ok(dc.min_rate_bps, dc.initial_rate_bps, dc.max_rate_bps));
+  [[maybe_unused]] const SwiftConfig& sw = zoo_cfg_.swift;
+  assert(sw.q_low >= 0 && sw.q_low < sw.q_high && sw.gradient_scale > 0);
+  assert(sw.ai_bps > 0.0 && sw.md_gain > 0.0 && sw.md_gain <= 1.0);
+  assert(rates_ok(sw.min_rate_bps, sw.initial_rate_bps, sw.max_rate_bps));
+  [[maybe_unused]] const ScreamLiteConfig& sc = zoo_cfg_.scream;
+  assert(sc.qdelay_target > 0 && sc.increase_bps > 0.0);
+  assert(sc.decrease_gain > 0.0 && sc.decrease_gain <= 1.0);
+  assert(sc.loss_beta > 0.0 && sc.loss_beta < 1.0);
+  assert(sc.mark_beta > 0.0 && sc.mark_beta < 1.0 && sc.max_tick_growth > 1.0);
+  assert(rates_ok(sc.min_rate_bps, sc.initial_rate_bps, sc.max_rate_bps));
 }
 
 void FlowTable::reserve(std::size_t flows) {
@@ -94,11 +116,16 @@ FlowSlot FlowTable::add_flow() {
 }
 
 FlowSlot FlowTable::add_flow(CcKind kind) {
-  if (kind != CcKind::kMkc) enable_zoo();
-  const FlowSlot slot =
-      add_flow(initial_rate_for(mkc_, zoo_cfg_, kind), gamma_cfg_.initial_gamma);
-  if (zoo_enabled_) init_zoo_slot(slot, kind);
+  const FlowSlot slot = add_flow();
+  set_kind(slot, kind);
   return slot;
+}
+
+void FlowTable::set_kind(FlowSlot slot, CcKind kind) {
+  assert(is_live(slot));
+  if (kind != CcKind::kMkc) enable_zoo();
+  rate_[slot] = initial_rate_for(mkc_, zoo_cfg_, kind);
+  if (zoo_enabled_) init_zoo_slot(slot, kind);
 }
 
 FlowSlot FlowTable::add_flow(double initial_rate_bps, double initial_gamma) {
@@ -173,6 +200,7 @@ void FlowTable::remove_flow(FlowSlot slot) {
 
 void FlowTable::apply_feedback(FlowSlot slot, double p) {
   assert(is_live(slot));
+  if (kind(slot) != CcKind::kMkc) return;  // labels are MKC's signal only
   bool silent = (flags_[slot] & kSilent) != 0;
   mkc_feedback_step(mkc_, p, rate_[slot], silent, recovery_left_[slot],
                     mkc_updates_[slot]);
@@ -182,6 +210,7 @@ void FlowTable::apply_feedback(FlowSlot slot, double p) {
 
 void FlowTable::apply_silence(FlowSlot slot) {
   assert(is_live(slot));
+  if (kind(slot) != CcKind::kMkc) return;  // zoo kinds do not steer by labels
   bool silent = (flags_[slot] & kSilent) != 0;
   mkc_silence_step(mkc_, rate_[slot], silent, silence_ticks_[slot]);
   flags_[slot] = static_cast<std::uint8_t>(silent ? flags_[slot] | kSilent
@@ -281,10 +310,10 @@ FlowTable::BatchStats FlowTable::batch_control_tick(SimTime now) {
     const std::uint8_t st = staged_[i];
     if (st == 0 || (flags_[i] & kLive) == 0) continue;
     const auto slot = static_cast<FlowSlot>(i);
-    // Same per-flow order as PelsSource::on_control_clock: RTT samples land
-    // before the tick's deliveries; feedback supersedes silence; gamma
-    // applies after the rate update; interval loss, then marks, then the
-    // clocked update.
+    // Same per-flow order as a PelsSource driving its SlotController: RTT
+    // samples land before the tick's deliveries; feedback supersedes
+    // silence; gamma applies after the rate update; interval loss, then
+    // marks, then the clocked update.
     if ((st & kStageRtt) != 0) {
       apply_rtt(slot, staged_rtt_[i]);
       ++out.rtt_applied;
@@ -315,6 +344,52 @@ FlowTable::BatchStats FlowTable::batch_control_tick(SimTime now) {
     staged_[i] = 0;
   }
   return out;
+}
+
+SlotController::SlotController(FlowTable& table, FlowSlot slot)
+    : table_(table), slot_(slot) {
+  assert(table.is_live(slot) && "a controller handle needs an allocated slot");
+}
+
+void SlotController::register_metrics(MetricsRegistry& registry,
+                                      const std::string& prefix) {
+  CongestionController::register_metrics(registry, prefix);
+  const FlowTable* t = &table_;
+  const FlowSlot s = slot_;
+  const auto qdelay_ms = [t, s] {
+    const SimTime base = t->min_rtt(s);
+    return base > 0 ? to_millis(t->srtt(s) - base) : 0.0;
+  };
+  switch (t->kind(s)) {
+    case CcKind::kMkc:
+      registry.add_probe(prefix + ".mkc_updates",
+                         [t, s] { return static_cast<double>(t->mkc_updates(s)); });
+      registry.add_probe(prefix + ".silence_ticks",
+                         [t, s] { return static_cast<double>(t->silence_ticks(s)); });
+      registry.add_probe(prefix + ".in_silence",
+                         [t, s] { return t->in_silence(s) ? 1.0 : 0.0; });
+      break;
+    case CcKind::kCubic:
+      registry.add_probe(prefix + ".cubic_cwnd_pkts", [t, s] { return t->cubic_cwnd(s); });
+      registry.add_probe(prefix + ".cubic_wmax_pkts", [t, s] { return t->cubic_wmax(s); });
+      break;
+    case CcKind::kDcqcn:
+      registry.add_probe(prefix + ".dcqcn_alpha", [t, s] { return t->dcqcn_alpha(s); });
+      registry.add_probe(prefix + ".dcqcn_target_bps", [t, s] { return t->dcqcn_target(s); });
+      break;
+    case CcKind::kSwift:
+      registry.add_probe(prefix + ".swift_qdelay_ms", qdelay_ms);
+      break;
+    case CcKind::kScream:
+      registry.add_probe(prefix + ".scream_qdelay_ms", qdelay_ms);
+      // Congestion window the reference rate implies at the current sRTT
+      // (bytes in flight); 0 until the first RTT sample.
+      registry.add_probe(prefix + ".scream_cwnd_bytes", [t, s] {
+        const SimTime rtt = t->srtt(s);
+        return rtt > 0 ? t->rate_bps(s) / 8.0 * to_seconds(rtt) : 0.0;
+      });
+      break;
+  }
 }
 
 }  // namespace pels

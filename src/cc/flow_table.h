@@ -1,33 +1,33 @@
-// Structure-of-arrays flow state for population-scale control (ROADMAP
-// "Million-flow scale-out").
+// Structure-of-arrays store of every PELS flow's control state.
 //
-// At N=100k concurrent PELS sources, per-flow controller objects scatter the
-// MKC/gamma/pacing scalars across the heap and every control tick pays N
-// virtual dispatches plus N cache misses. The FlowTable keeps those hot
-// scalars in contiguous parallel columns keyed by a dense FlowSlot, so one
-// control tick batch-updates every staged flow with linear scans.
+// A FlowTable slot is the only home of a flow's control scalars: the
+// controller rate, MKC's silence/recovery state, the zoo's window and
+// rate-machine state, gamma and the source's pacing EWMA. Parallel columns
+// keyed by a dense FlowSlot keep them contiguous, so one control tick can
+// update a whole population with linear scans (batch_control_tick), and the
+// same per-flow code serves one flow at a time (apply_*). SlotController, the
+// CongestionController handle of a (table, slot) pair, forwards a PelsSource's
+// hooks to apply_*; the population runs in exp/fabric stage inputs and run
+// the batch. Both paths call the same free inline kernels (mkc_feedback_step,
+// cubic_tick_step, dcqcn_mark_step, swift_tick_step, scream_tick_step, ...)
+// on the same columns, so they agree bit for bit (tests/flow_table_test.cpp,
+// tests/cc_zoo_test.cpp).
 //
-// Determinism contract: the single-flow operations (apply_feedback /
-// apply_silence / apply_gamma / apply_loss_interval / apply_mark_fraction /
-// apply_control_tick / apply_rtt) and the batch path both call the exact
-// inline kernels the per-object controllers use (mkc_feedback_step,
-// cubic_tick_step, dcqcn_mark_step, swift_tick_step, scream_tick_step, ...),
-// so table-backed control is bit-for-bit identical to per-object control —
-// verified by tests/flow_table_test.cpp and tests/cc_zoo_test.cpp.
-//
-// Controller zoo: each slot carries a CcKind; the apply/batch paths dispatch
-// per kind. The zoo columns (CUBIC window state, DCQCN rate machine, RTT
-// memories, staged mark/loss/rtt inputs) are allocated lazily on the first
-// non-MKC flow, so homogeneous MKC populations — the million-flow bench —
-// pay not a byte for them. Each zoo scalar column is shared across kinds
-// (one flow has exactly one kind): zoo_a is CUBIC's W_max or DCQCN's target
-// rate, zoo_b CUBIC's K or DCQCN's alpha, zoo_t CUBIC's epoch start or
-// Swift's previous-tick RTT, zoo_t2 Swift's/SCReAM's min RTT.
+// Controller zoo: each slot carries a CcKind and apply_* dispatches on it.
+// Router labels and silence ticks steer MKC slots only; RTT samples, interval
+// loss, mark fractions and control ticks steer the zoo kinds only. The zoo
+// columns (CUBIC window state, DCQCN rate machine, RTT memories, staged
+// mark/loss/rtt inputs) are allocated lazily on the first non-MKC flow, so
+// homogeneous MKC populations — the million-flow bench — pay not a byte for
+// them. Each zoo scalar column is shared across kinds (one flow has exactly
+// one kind): zoo_a is CUBIC's W_max or DCQCN's target rate, zoo_b CUBIC's K
+// or DCQCN's alpha, zoo_t CUBIC's epoch start or Swift's previous-tick RTT,
+// zoo_t2 Swift's/SCReAM's min RTT.
 //
 // Slot lifecycle: add_flow() reuses freed slots LIFO (like the scheduler's
 // callback pool); remove_flow() returns the slot. Columns never shrink, so a
 // steady-state add/remove churn allocates nothing. Whoever allocates the
-// slot owns its lifetime — PelsSource and the controllers only borrow.
+// slot owns its lifetime — PelsSource and SlotController only borrow it.
 #pragma once
 
 #include <cassert>
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cc/controller.h"
 #include "cc/cubic.h"
 #include "cc/dcqcn.h"
 #include "cc/mkc.h"
@@ -44,6 +45,7 @@
 
 namespace pels {
 
+using FlowSlot = std::uint32_t;
 inline constexpr FlowSlot kInvalidFlowSlot = 0xffffffffu;
 
 /// Controller kind of a table slot. kMkc is the default and the only kind
@@ -59,7 +61,7 @@ enum class CcKind : std::uint8_t {
 const char* cc_kind_name(CcKind kind);
 
 /// Shared per-kind configs for a table's zoo flows (heterogeneous configs
-/// within one kind use several tables or per-object controllers, like MKC).
+/// within one kind use several tables, like MKC).
 struct CcZooConfig {
   CubicConfig cubic;
   DcqcnConfig dcqcn;
@@ -70,7 +72,7 @@ struct CcZooConfig {
 class FlowTable {
  public:
   /// All flows in one table share the MKC and gamma configs (heterogeneous
-  /// populations use several tables or fall back to per-object controllers).
+  /// populations use several tables).
   FlowTable(MkcConfig mkc, GammaConfig gamma, CcZooConfig zoo = {});
 
   /// Pre-sizes every column (and the free list) for `flows` concurrent
@@ -86,6 +88,10 @@ class FlowTable {
   /// Allocates a slot of the given controller kind, initialized from that
   /// kind's config. The first non-MKC flow enables the zoo columns.
   FlowSlot add_flow(CcKind kind);
+  /// Re-kinds a live slot: resets its rate and zoo state to `kind`'s initial
+  /// operating point (gamma and pacing stay). Scenarios allocate every PELS
+  /// flow as MKC and pick other kinds this way.
+  void set_kind(FlowSlot slot, CcKind kind);
   /// Frees a slot for reuse. Outstanding references to it are invalid.
   void remove_flow(FlowSlot slot);
 
@@ -129,13 +135,14 @@ class FlowTable {
   std::int32_t dcqcn_stage(FlowSlot slot) const { return zoo_stage_[slot]; }
   SimTime swift_prev_rtt(FlowSlot slot) const { return zoo_t_[slot]; }
 
-  // --- single-flow control (table-backed controllers) --------------------
+  // --- single-flow control (SlotController forwards here) -----------------
+  /// MKC signal entry points (router label p, feedback-watchdog tick); zoo
+  /// slots ignore them.
   void apply_feedback(FlowSlot slot, double p);
   void apply_silence(FlowSlot slot);
   double apply_gamma(FlowSlot slot, double p);
-  /// Zoo signal entry points; dispatch on the slot's kind (MKC ignores them,
-  /// matching the per-object controllers' default overrides). `now` anchors
-  /// event timestamps (CUBIC's epoch start).
+  /// Zoo signal entry points; dispatch on the slot's kind (MKC ignores them).
+  /// `now` anchors event timestamps (CUBIC's epoch start).
   void apply_rtt(FlowSlot slot, SimTime rtt);
   void apply_loss_interval(FlowSlot slot, double p, SimTime now);
   void apply_mark_fraction(FlowSlot slot, double f, SimTime now);
@@ -143,7 +150,7 @@ class FlowTable {
 
   // --- staged batch control (population-scale drivers) -------------------
   // A control tick stages per-flow inputs (latest wins within a tick), then
-  // batch_control_tick() applies them in slot order with linear scans.
+  // batch_control_tick() hands them to apply_* in slot order.
   // Semantics per flow and tick, mirroring PelsSource::on_control_clock:
   // rtt first, then feedback (which supersedes staged silence — a fresh
   // label ends the silence episode), then gamma, then the interval loss and
@@ -179,6 +186,8 @@ class FlowTable {
     staged_[slot] |= kStageTick;
   }
 
+  /// Staged inputs dispatched per kind (an input the slot's kind ignores
+  /// still counts).
   struct BatchStats {
     std::size_t feedback_applied = 0;
     std::size_t silences = 0;
@@ -270,6 +279,36 @@ class FlowTable {
 
   std::vector<FlowSlot> free_slots_;
   std::size_t live_count_ = 0;
+};
+
+/// The CongestionController of a table-resident flow: a (table, slot) view
+/// with no state of its own. Every hook forwards to the kind-dispatched
+/// apply_*, name() is the slot's cc_kind_name, and register_metrics() adds
+/// the slot kind's probes. The table must outlive the handle and the slot
+/// must stay allocated.
+class SlotController final : public CongestionController {
+ public:
+  SlotController(FlowTable& table, FlowSlot slot);
+
+  double rate_bps() const override { return table_.rate_bps(slot_); }
+  void on_router_feedback(double p, SimTime /*now*/) override {
+    table_.apply_feedback(slot_, p);
+  }
+  void on_feedback_silence(SimTime /*now*/) override { table_.apply_silence(slot_); }
+  void on_loss_interval(double p, SimTime now) override {
+    table_.apply_loss_interval(slot_, p, now);
+  }
+  void on_mark_fraction(double f, SimTime now) override {
+    table_.apply_mark_fraction(slot_, f, now);
+  }
+  void set_rtt(SimTime rtt) override { table_.apply_rtt(slot_, rtt); }
+  void on_control_tick(SimTime now) override { table_.apply_control_tick(slot_, now); }
+  const char* name() const override { return cc_kind_name(table_.kind(slot_)); }
+  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
+
+ private:
+  FlowTable& table_;
+  FlowSlot slot_;
 };
 
 }  // namespace pels

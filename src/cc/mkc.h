@@ -8,21 +8,18 @@
 // stable for 0 < beta < 2 under arbitrary heterogeneous delays (Lemma 5), and
 // does not penalize long-RTT flows (Lemma 6).
 //
-// The update maps live as free inline kernels (mkc_feedback_step /
-// mkc_silence_step) operating on caller-owned scalars: MkcController applies
-// them to its own members, FlowTable applies the same code to its contiguous
-// columns, so the batch path is bit-for-bit identical to per-object control.
+// Kernel contract: the update maps are free inline kernels (mkc_feedback_step
+// / mkc_silence_step) on caller-owned scalars. Their one caller is FlowTable,
+// which applies them to a flow's slot both for a single flow (apply_*, behind
+// the SlotController handle) and for a staged batch (batch_control_tick).
+// The stationary rate of eq. (10) lives in analysis/stability.h
+// (mkc_stationary_rate).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
-
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct MkcConfig {
   double alpha_bps = 20e3;    // additive gain per feedback epoch (20 kb/s)
@@ -87,45 +84,5 @@ inline void mkc_silence_step(const MkcConfig& cfg, double& rate, bool& silent,
   const double floor = std::max(cfg.min_rate_bps, cfg.silence_floor_bps);
   rate = std::max(std::min(rate, floor), rate * cfg.silence_decay);
 }
-
-class MkcController : public CongestionController {
- public:
-  explicit MkcController(MkcConfig config);
-  /// Table-backed controller: all hot state (rate, silence, recovery) lives
-  /// in `table`'s contiguous columns at `slot`; this object is a thin view
-  /// satisfying the CongestionController interface. The table must outlive
-  /// the controller and the slot must stay allocated.
-  MkcController(FlowTable& table, FlowSlot slot);
-
-  double rate_bps() const override;
-  void on_router_feedback(double p, SimTime now) override;
-  void on_feedback_silence(SimTime now) override;
-  const char* name() const override { return "MKC"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  /// Number of feedback updates applied (one per fresh epoch).
-  std::uint64_t updates() const;
-  /// Number of silence ticks absorbed (rate decays applied).
-  std::uint64_t silence_ticks() const;
-  /// True between a silence tick and the next fresh feedback.
-  bool in_silence() const;
-
-  const MkcConfig& config() const { return cfg_; }
-
-  /// Stationary rate of eq. (10): C/N + alpha/beta.
-  static double stationary_rate(double capacity_bps, int flows, const MkcConfig& cfg) {
-    return capacity_bps / flows + cfg.alpha_bps / cfg.beta;
-  }
-
- private:
-  MkcConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  std::uint64_t updates_ = 0;
-  std::uint64_t silence_ticks_ = 0;
-  bool silent_ = false;
-  std::int32_t recovery_left_ = 0;
-};
 
 }  // namespace pels

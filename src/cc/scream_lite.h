@@ -13,19 +13,15 @@
 // inspection; the PELS pacing layer enforces the rate itself.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars; ScreamLiteController applies them to members, FlowTable to its
-// columns — bit-for-bit identical (tests/cc_zoo_test.cpp).
+// scalars; FlowTable applies them to a kScream slot's columns.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "util/time.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct ScreamLiteConfig {
   SimTime qdelay_target = from_millis(60);
@@ -74,39 +70,5 @@ inline void scream_tick_step(const ScreamLiteConfig& cfg, SimTime srtt, SimTime 
                       cfg.max_rate_bps);
   }
 }
-
-class ScreamLiteController : public CongestionController {
- public:
-  explicit ScreamLiteController(ScreamLiteConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kScream slot.
-  ScreamLiteController(FlowTable& table, FlowSlot slot);
-
-  double rate_bps() const override;
-  /// Router labels are MKC's signal; SCReAM steers by delay/loss/marks.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "SCReAM-lite"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  SimTime srtt() const;
-  SimTime min_rtt() const;
-  /// Congestion window the reference rate implies at the current sRTT
-  /// (bytes in flight); 0 until the first RTT sample.
-  double cwnd_bytes() const;
-
-  const ScreamLiteConfig& config() const { return cfg_; }
-
- private:
-  ScreamLiteConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  SimTime srtt_ = 0;
-  SimTime min_rtt_ = 0;
-};
 
 }  // namespace pels

@@ -10,19 +10,15 @@
 // RTT a decrease proportional to the normalized gradient.
 //
 // Kernel contract (see cc/mkc.h): one free inline kernel on caller-owned
-// scalars, applied per control tick; SwiftController applies it to members,
-// FlowTable to its columns — bit-for-bit identical (tests/cc_zoo_test.cpp).
+// scalars, applied per control tick by FlowTable to a kSwift slot's columns.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "util/time.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct SwiftConfig {
   SimTime q_low = from_millis(5);     // qdelay floor: below, always increase
@@ -67,35 +63,5 @@ inline void swift_tick_step(const SwiftConfig& cfg, SimTime srtt, SimTime& prev_
     rate = std::max(rate * (1.0 - cfg.md_gain * std::min(grad, 1.0)), cfg.min_rate_bps);
   }
 }
-
-class SwiftController : public CongestionController {
- public:
-  explicit SwiftController(SwiftConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kSwift slot.
-  SwiftController(FlowTable& table, FlowSlot slot);
-
-  double rate_bps() const override;
-  /// Router labels are MKC's signal; Swift steers purely by delay.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "Swift"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  SimTime srtt() const;
-  SimTime min_rtt() const;
-
-  const SwiftConfig& config() const { return cfg_; }
-
- private:
-  SwiftConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  SimTime srtt_ = 0;
-  SimTime prev_rtt_ = 0;
-  SimTime min_rtt_ = 0;
-};
 
 }  // namespace pels

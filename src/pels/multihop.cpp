@@ -7,8 +7,14 @@
 namespace pels {
 
 ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
-    : cfg_(std::move(config)), sim_(cfg_.seed), topo_(sim_), rd_(cfg_.rd) {
+    : cfg_(std::move(config)),
+      sim_(cfg_.seed),
+      topo_(sim_),
+      rd_(cfg_.rd),
+      flow_table_(cfg_.mkc, cfg_.source.gamma) {
   assert(cfg_.long_flows > 0);
+  flow_table_.reserve(
+      static_cast<std::size_t>(cfg_.long_flows + cfg_.cross_flows_hop1 + cfg_.cross_flows_hop2));
 
   Router& r1 = topo_.add_router("R1");
   Router& r2 = topo_.add_router("R2");
@@ -59,9 +65,10 @@ ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
     sinks.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
                                                cfg_.source.video, rd_,
                                                cfg_.source.ack_size_bytes));
-    auto controller = std::make_unique<MkcController>(cfg_.mkc);
-    srcs.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
-                                                std::move(controller), cfg_.source));
+    const FlowSlot slot = flow_table_.add_flow();
+    srcs.push_back(std::make_unique<PelsSource>(
+        sim_, src_host, flow, dst_host.id(),
+        std::make_unique<SlotController>(flow_table_, slot), flow_table_, slot, cfg_.source));
     srcs.back()->start(phase);
   };
 

@@ -18,7 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "cc/mkc.h"
+#include "cc/flow_table.h"
 #include "fault/fault_plan.h"
 #include "net/topology.h"
 #include "queue/pels_queue.h"
@@ -77,6 +77,7 @@ class ParkingLotScenario {
   Simulation sim_;
   Topology topo_;
   RdModel rd_;
+  FlowTable flow_table_;  // one MKC slot per flow, all three classes
   PelsQueue* queue1_ = nullptr;
   PelsQueue* queue2_ = nullptr;
   std::vector<std::unique_ptr<PelsSource>> long_sources_;

@@ -9,6 +9,10 @@
 //  * packet pacing: each frame's packets are spread evenly over the frame
 //    period, so the instantaneous rate matches the controller output.
 //
+// Gamma and the pacing EWMA live in the flow's FlowTable slot (see
+// cc/flow_table.h), borrowed at construction; so does the controller state
+// when the controller is the slot's SlotController handle.
+//
 // With `partition = false` the source becomes the paper's best-effort
 // comparator: same congestion control, same video, but the whole FGS prefix
 // is sent unpartitioned (yellow) and gamma stays out of the loop.
@@ -28,22 +32,14 @@
 #include "util/stats.h"
 #include "video/fgs.h"
 #include "video/frame_size.h"
-#include "video/gamma_controller.h"
 #include "video/rd_allocator.h"
 
 namespace pels {
 
 struct PelsSourceConfig {
   VideoConfig video;
+  /// The gamma control law; scenarios build the flows' FlowTable with it.
   GammaConfig gamma;
-  /// Structure-of-arrays backing for the flow's hot control scalars (gamma,
-  /// pacing EWMA): when set, this source reads/writes table columns at
-  /// `flow_slot` instead of its own members, so population-scale scenarios
-  /// keep per-flow state contiguous (see cc/flow_table.h). The slot is
-  /// borrowed — whoever allocated it owns its lifetime. The table's
-  /// GammaConfig must match `gamma` (same control law for either backing).
-  FlowTable* flow_table = nullptr;
-  FlowSlot flow_slot = kInvalidFlowSlot;
   /// Control interval for loss measurement + gamma updates (interval k of
   /// eq. (4)); independent of the router's feedback interval T.
   SimTime control_interval = from_millis(200);
@@ -80,8 +76,11 @@ struct PelsSourceConfig {
 
 class PelsSource : public Agent {
  public:
+  /// `slot` is the flow's live slot in `table`, borrowed for the source's
+  /// lifetime: gamma and pacing state are read and written there.
   PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst,
-             std::unique_ptr<CongestionController> controller, PelsSourceConfig config);
+             std::unique_ptr<CongestionController> controller, FlowTable& table,
+             FlowSlot slot, PelsSourceConfig config);
   ~PelsSource() override;
 
   /// Starts the frame and control clocks at sim time `at`.
@@ -92,10 +91,7 @@ class PelsSource : public Agent {
 
   // --- observable state -------------------------------------------------
   double rate_bps() const { return controller_->rate_bps(); }
-  double gamma() const {
-    return cfg_.flow_table != nullptr ? cfg_.flow_table->gamma(cfg_.flow_slot)
-                                      : gamma_.gamma();
-  }
+  double gamma() const { return table_.gamma(slot_); }
   double measured_loss() const { return last_measured_loss_; }
   /// Router id of the most recently consumed feedback label (-1 before any).
   /// Noisy on multi-bottleneck paths (per-epoch loss estimates jitter, so the
@@ -119,6 +115,7 @@ class PelsSource : public Agent {
   SimTime last_feedback_at() const { return last_label_at_; }
   SimTime srtt() const { return srtt_; }
   FlowId flow() const { return flow_; }
+  FlowSlot slot() const { return slot_; }
   CongestionController& controller() { return *controller_; }
 
   std::uint64_t packets_sent(Color c) const { return sent_[static_cast<std::size_t>(c)]; }
@@ -153,8 +150,9 @@ class PelsSource : public Agent {
   FlowId flow_;
   NodeId dst_;
   std::unique_ptr<CongestionController> controller_;
+  FlowTable& table_;
+  FlowSlot slot_;
   PelsSourceConfig cfg_;
-  GammaController gamma_;
 
   PeriodicTimer frame_timer_;
   PeriodicTimer control_timer_;
@@ -164,7 +162,6 @@ class PelsSource : public Agent {
   // instead of bursting past the rate within their own period.
   std::deque<Packet> send_buffer_;
   EventId pace_event_ = 0;
-  double paced_rate_ = 0.0;  // EWMA of the controller rate used for spacing
   std::unique_ptr<SrTcmMarker> tcm_marker_;  // set iff cfg_.tcm_marking
 
   std::int64_t next_frame_ = 0;

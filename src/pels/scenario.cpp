@@ -39,7 +39,7 @@ void ScenarioConfig::validate() const {
           "mkc rates must satisfy 0 < min <= initial <= max");
   require(mkc.silence_decay > 0.0 && mkc.silence_decay <= 1.0,
           "mkc.silence_decay must be in (0, 1]");
-  require(GammaController::is_stable_gain(source.gamma.sigma),
+  require(gamma_stable_gain(source.gamma.sigma),
           "gamma.sigma must be in (0, 2) — eq. (4) stability region (Lemma 2)");
   require(source.gamma.p_thr > 0.0 && source.gamma.p_thr <= 1.0,
           "gamma.p_thr must be in (0, 1]");
@@ -147,16 +147,10 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   src_cfg.partition = cfg_.bottleneck == BottleneckKind::kPels;
   if (cfg_.rd_aware_scaling) src_cfg.rd_scaling = &rd_;
 
-  // Default MKC flows share a structure-of-arrays FlowTable: controller and
-  // gamma/pacing scalars live in contiguous columns (storage-only — the
-  // table applies the same kernels, so dynamics are bit-for-bit identical).
-  // Custom (make_controller) and REM flows keep per-object state.
-  const bool table_backed = cfg_.use_flow_table && !cfg_.make_controller &&
-                            cfg_.bottleneck != BottleneckKind::kRem;
-  if (table_backed) {
-    flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, src_cfg.gamma);
-    flow_table_->reserve(static_cast<std::size_t>(cfg_.pels_flows));
-  }
+  // Every PELS flow's control state (rate, MKC/zoo state, gamma, pacing)
+  // lives in one slot of the scenario's FlowTable.
+  flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, src_cfg.gamma);
+  flow_table_->reserve(static_cast<std::size_t>(cfg_.pels_flows));
 
   // Per-flow base-RTT diversity: flow k (PELS flows first, then TCP) takes
   // edge_delays[k % size] on both of its private edges.
@@ -173,26 +167,23 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
     topo_.connect(src_host, r1, cfg_.edge_bps, edge_delay, edge_queue);
     topo_.connect(r2, dst_host, cfg_.edge_bps, edge_delay, edge_queue);
 
+    const FlowSlot slot = flow_table_->add_flow();
     std::unique_ptr<CongestionController> controller;
     if (cfg_.make_controller) {
-      controller = cfg_.make_controller(i);
+      controller = cfg_.make_controller(i, *flow_table_, slot);
     } else if (cfg_.bottleneck == BottleneckKind::kRem) {
       // The REM bottleneck signals through marks, not feedback labels.
       controller = std::make_unique<RemController>(cfg_.rem);
-    } else if (table_backed) {
-      const FlowSlot slot = flow_table_->add_flow();
-      src_cfg.flow_table = flow_table_.get();
-      src_cfg.flow_slot = slot;
-      controller = std::make_unique<MkcController>(*flow_table_, slot);
     } else {
-      controller = std::make_unique<MkcController>(cfg_.mkc);
+      controller = std::make_unique<SlotController>(*flow_table_, slot);
     }
     const auto flow = static_cast<FlowId>(i);
     sinks_.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
                                                 src_cfg.video, rd_,
                                                 src_cfg.ack_size_bytes));
     sources_.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
-                                                    std::move(controller), src_cfg));
+                                                    std::move(controller), *flow_table_,
+                                                    slot, src_cfg));
   }
 
   for (int i = 0; i < cfg_.tcp_flows; ++i) {

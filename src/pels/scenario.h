@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cc/flow_table.h"
-#include "cc/mkc.h"
 #include "cc/rem_controller.h"
 #include "cc/tcp_like.h"
 #include "fault/fault_plan.h"
@@ -76,9 +75,15 @@ struct ScenarioConfig {
   /// it. Exercises the loss-vs-congestion confusion (bench/ablation_wireless).
   double wireless_loss = 0.0;
 
-  /// Optional custom controller per flow (CC-independence ablation);
-  /// default builds MkcController(mkc).
-  std::function<std::unique_ptr<CongestionController>(int flow_index)> make_controller;
+  /// Optional custom controller per flow (CC-independence ablation, fairness
+  /// cells). Every PELS flow owns an MKC slot in the scenario's FlowTable;
+  /// the factory gets it and either returns a SlotController handle on it
+  /// (re-kinding the slot first for a zoo kind) or an object-shaped baseline
+  /// that ignores the slot. Default: SlotController (MKC), or a
+  /// RemController on a REM bottleneck.
+  std::function<std::unique_ptr<CongestionController>(int flow_index, FlowTable& table,
+                                                      FlowSlot slot)>
+      make_controller;
 
   /// Scripted fault schedule applied to the bottleneck: link flaps and
   /// brown-outs on the forward direction, ACK blackouts on the reverse,
@@ -94,14 +99,6 @@ struct ScenarioConfig {
   /// byte-identical runs (verified by tests/scheduler_wheel_test.cpp); the
   /// switch exists for that regression test and for A/B benching.
   bool scheduler_wheel = true;
-
-  /// Structure-of-arrays flow state (see cc/flow_table.h): default-built
-  /// flows (no make_controller, non-REM bottleneck) allocate a slot in a
-  /// shared FlowTable and their MkcController/gamma/pacing scalars live in
-  /// its columns. Storage-only change — dynamics are bit-for-bit identical
-  /// to per-object controllers (tests/flow_table_test.cpp). Off = every
-  /// flow keeps private controller state.
-  bool use_flow_table = true;
 
   /// Declarative telemetry switch (see DESIGN.md "Telemetry"): when enabled,
   /// the scenario builds a MetricsRegistry, registers every instrumented
@@ -176,9 +173,8 @@ class DumbbellScenario {
   const RdModel& rd_model() const { return rd_; }
   const ScenarioConfig& config() const { return cfg_; }
 
-  /// Shared SoA flow state; null when config().use_flow_table is false or
-  /// the flows use custom/REM controllers.
-  FlowTable* flow_table() { return flow_table_.get(); }
+  /// The PELS flows' control state: one slot per flow (see cc/flow_table.h).
+  FlowTable& flow_table() { return *flow_table_; }
 
   /// Telemetry views; null unless config().telemetry.enabled. The registry
   /// holds every instrument registered at construction (prefixes:

@@ -12,10 +12,8 @@
 // delay-residue subsequence, hence the identical condition).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
-
-#include "telemetry/metrics.h"
 
 namespace pels {
 
@@ -27,34 +25,6 @@ struct GammaConfig {
   double gamma_high = 0.95;
 };
 
-class GammaController {
- public:
-  explicit GammaController(GammaConfig config);
-
-  /// Applies one control step with measured FGS-layer loss `p` in [0, 1].
-  /// Returns the new gamma.
-  double update(double p);
-
-  double gamma() const { return gamma_; }
-  std::uint64_t updates() const { return updates_; }
-  const GammaConfig& config() const { return cfg_; }
-
-  /// Fixed point for stationary loss p: gamma* = p / p_thr (clamped).
-  double stationary_gamma(double p) const;
-
-  /// Lemma 2/3 stability predicate for a candidate gain.
-  static bool is_stable_gain(double sigma) { return sigma > 0.0 && sigma < 2.0; }
-
-  /// Registers pull probes under `prefix.`: the current partition gamma and
-  /// the cumulative update count (see DESIGN.md "Telemetry").
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix);
-
- private:
-  GammaConfig cfg_;
-  double gamma_;
-  std::uint64_t updates_ = 0;
-};
-
 /// Pure iterate map of eq. (4) without clamping, for stability analysis and
 /// Figure 5: gamma' = gamma + sigma * (p/p_thr - gamma).
 constexpr double gamma_iterate(double gamma, double p, double sigma, double p_thr) {
@@ -62,9 +32,9 @@ constexpr double gamma_iterate(double gamma, double p, double sigma, double p_th
 }
 
 /// One full gamma control step (clamp p, iterate eq. (4), clamp gamma) on
-/// caller-owned state. GammaController applies it to its members and
-/// FlowTable to its contiguous columns, so batch updates are bit-for-bit
-/// identical to per-object control. Returns the new gamma.
+/// caller-owned state. FlowTable applies it to a flow's gamma column, for a
+/// single flow (apply_gamma) and for a staged batch alike. Returns the new
+/// gamma.
 inline double gamma_update_step(const GammaConfig& cfg, double p, double& gamma,
                                 std::uint64_t& updates) {
   p = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
@@ -73,6 +43,16 @@ inline double gamma_update_step(const GammaConfig& cfg, double p, double& gamma,
                                 : (gamma > cfg.gamma_high ? cfg.gamma_high : gamma);
   ++updates;
   return gamma;
+}
+
+/// Lemma 2/3 stability predicate: eq. (4) converges iff 0 < sigma < 2, under
+/// any feedback delay.
+constexpr bool gamma_stable_gain(double sigma) { return sigma > 0.0 && sigma < 2.0; }
+
+/// Fixed point for stationary FGS loss p: gamma* = p / p_thr, clamped to the
+/// configured band.
+inline double stationary_gamma(const GammaConfig& cfg, double p) {
+  return std::clamp(p / cfg.p_thr, cfg.gamma_low, cfg.gamma_high);
 }
 
 }  // namespace pels

@@ -5,12 +5,13 @@
 #include <cmath>
 #include <memory>
 
+#include "analysis/stability.h"
 #include "cc/aimd.h"
 #include "cc/kelly_continuous.h"
-#include "cc/mkc.h"
 #include "cc/tcp_like.h"
 #include "cc/tfrc_lite.h"
 #include "net/topology.h"
+#include "one_flow.h"
 #include "queue/drop_tail.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
@@ -19,16 +20,17 @@ namespace pels {
 namespace {
 
 // -------------------------------------------------------------------- MKC
+// One MKC slot per test, driven through its SlotController handle.
 
 TEST(MkcTest, PositiveLossDecreasesRate) {
   MkcConfig cfg;
   cfg.initial_rate_bps = 1e6;
   cfg.alpha_bps = 20e3;
   cfg.beta = 0.5;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(0.2, 0);
+  OneFlow mkc(CcKind::kMkc, cfg);
+  mkc.cc.on_router_feedback(0.2, 0);
   // r' = r + alpha - beta * r * p = 1e6 + 2e4 - 0.5 * 1e6 * 0.2 = 920 kb/s.
-  EXPECT_NEAR(mkc.rate_bps(), 920e3, 1.0);
+  EXPECT_NEAR(mkc.cc.rate_bps(), 920e3, 1.0);
 }
 
 TEST(MkcTest, NegativeLossRampsExponentially) {
@@ -36,18 +38,18 @@ TEST(MkcTest, NegativeLossRampsExponentially) {
   // capped factor per epoch: 128 kb/s reaches 2 mb/s within four updates.
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
-  MkcController mkc(cfg);
-  for (int i = 0; i < 4; ++i) mkc.on_router_feedback(-10.0, 0);
-  EXPECT_NEAR(mkc.rate_bps(), 128e3 * 16.0, 1.0);
+  OneFlow mkc(CcKind::kMkc, cfg);
+  for (int i = 0; i < 4; ++i) mkc.cc.on_router_feedback(-10.0, 0);
+  EXPECT_NEAR(mkc.cc.rate_bps(), 128e3 * 16.0, 1.0);
 }
 
 TEST(MkcTest, GrowthCapBoundsSingleUpdate) {
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
   cfg.max_growth_factor = 2.0;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(-100.0, 0);
-  EXPECT_DOUBLE_EQ(mkc.rate_bps(), 256e3);
+  OneFlow mkc(CcKind::kMkc, cfg);
+  mkc.cc.on_router_feedback(-100.0, 0);
+  EXPECT_DOUBLE_EQ(mkc.cc.rate_bps(), 256e3);
 }
 
 TEST(MkcTest, FixedPointIsStationary) {
@@ -55,26 +57,26 @@ TEST(MkcTest, FixedPointIsStationary) {
   MkcConfig cfg;
   const double capacity = 2e6;
   const int flows = 4;
-  const double r_star = MkcController::stationary_rate(capacity, flows, cfg);
+  const double r_star = mkc_stationary_rate(capacity, flows, cfg.alpha_bps, cfg.beta);
   const double total = r_star * flows;
   const double p_star = (total - capacity) / total;
   cfg.initial_rate_bps = r_star;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(p_star, 0);
-  EXPECT_NEAR(mkc.rate_bps(), r_star, r_star * 1e-9);
+  OneFlow mkc(CcKind::kMkc, cfg);
+  mkc.cc.on_router_feedback(p_star, 0);
+  EXPECT_NEAR(mkc.cc.rate_bps(), r_star, r_star * 1e-9);
 }
 
 TEST(MkcTest, ConvergesToStationaryRateSingleFlow) {
   // Closed loop against the eq. (9) feedback law, one flow.
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
-  MkcController mkc(cfg);
+  OneFlow mkc(CcKind::kMkc, cfg);
   const double capacity = 2e6;
   for (int k = 0; k < 200; ++k) {
-    const double total = mkc.rate_bps();
-    mkc.on_router_feedback((total - capacity) / total, 0);
+    const double total = mkc.cc.rate_bps();
+    mkc.cc.on_router_feedback((total - capacity) / total, 0);
   }
-  EXPECT_NEAR(mkc.rate_bps(), MkcController::stationary_rate(capacity, 1, cfg),
+  EXPECT_NEAR(mkc.cc.rate_bps(), mkc_stationary_rate(capacity, 1, cfg.alpha_bps, cfg.beta),
               1e3);
 }
 
@@ -83,20 +85,20 @@ TEST(MkcTest, RateClampedToBounds) {
   cfg.initial_rate_bps = 128e3;
   cfg.min_rate_bps = 64e3;
   cfg.max_rate_bps = 1e6;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(0.999, 0);  // huge loss
-  for (int i = 0; i < 50; ++i) mkc.on_router_feedback(0.999, 0);
-  EXPECT_GE(mkc.rate_bps(), cfg.min_rate_bps);
-  for (int i = 0; i < 200; ++i) mkc.on_router_feedback(-20.0, 0);
-  EXPECT_LE(mkc.rate_bps(), cfg.max_rate_bps);
+  OneFlow mkc(CcKind::kMkc, cfg);
+  mkc.cc.on_router_feedback(0.999, 0);  // huge loss
+  for (int i = 0; i < 50; ++i) mkc.cc.on_router_feedback(0.999, 0);
+  EXPECT_GE(mkc.cc.rate_bps(), cfg.min_rate_bps);
+  for (int i = 0; i < 200; ++i) mkc.cc.on_router_feedback(-20.0, 0);
+  EXPECT_LE(mkc.cc.rate_bps(), cfg.max_rate_bps);
 }
 
 TEST(MkcTest, UpdateCounterAdvances) {
-  MkcController mkc(MkcConfig{});
-  EXPECT_EQ(mkc.updates(), 0u);
-  mkc.on_router_feedback(0.0, 0);
-  mkc.on_router_feedback(0.1, 0);
-  EXPECT_EQ(mkc.updates(), 2u);
+  OneFlow mkc(CcKind::kMkc);
+  EXPECT_EQ(mkc.table.mkc_updates(mkc.slot), 0u);
+  mkc.cc.on_router_feedback(0.0, 0);
+  mkc.cc.on_router_feedback(0.1, 0);
+  EXPECT_EQ(mkc.table.mkc_updates(mkc.slot), 2u);
 }
 
 TEST(MkcTest, StationaryRateFormula) {
@@ -104,7 +106,7 @@ TEST(MkcTest, StationaryRateFormula) {
   cfg.alpha_bps = 20e3;
   cfg.beta = 0.5;
   // C/N + a/b = 2e6/2 + 4e4 = 1.04 mb/s (paper Fig. 9: ~1 mb/s per flow).
-  EXPECT_DOUBLE_EQ(MkcController::stationary_rate(2e6, 2, cfg), 1.04e6);
+  EXPECT_DOUBLE_EQ(mkc_stationary_rate(2e6, 2, cfg.alpha_bps, cfg.beta), 1.04e6);
 }
 
 // ------------------------------------------------------- continuous Kelly
@@ -169,20 +171,20 @@ TEST(AimdTest, OscillatesInSteadyStateUnlikeMkc) {
   AimdController aimd(acfg);
   MkcConfig mcfg;
   mcfg.initial_rate_bps = 128e3;
-  MkcController mkc(mcfg);
+  OneFlow mkc(CcKind::kMkc, mcfg);
 
   double aimd_min = 1e18, aimd_max = 0, mkc_min = 1e18, mkc_max = 0;
   for (int k = 0; k < 400; ++k) {
     const SimTime now = k * from_millis(30);
     const double pa = (aimd.rate_bps() - capacity) / aimd.rate_bps();
     aimd.on_router_feedback(pa, now);
-    const double pm = (mkc.rate_bps() - capacity) / mkc.rate_bps();
-    mkc.on_router_feedback(pm, now);
+    const double pm = (mkc.cc.rate_bps() - capacity) / mkc.cc.rate_bps();
+    mkc.cc.on_router_feedback(pm, now);
     if (k > 200) {  // steady state
       aimd_min = std::min(aimd_min, aimd.rate_bps());
       aimd_max = std::max(aimd_max, aimd.rate_bps());
-      mkc_min = std::min(mkc_min, mkc.rate_bps());
-      mkc_max = std::max(mkc_max, mkc.rate_bps());
+      mkc_min = std::min(mkc_min, mkc.cc.rate_bps());
+      mkc_max = std::max(mkc_max, mkc.cc.rate_bps());
     }
   }
   const double aimd_swing = (aimd_max - aimd_min) / capacity;

@@ -1,63 +1,84 @@
 // Tests for the congestion-controller zoo (cc/cubic, cc/dcqcn, cc/swift,
 // cc/scream_lite): per-kernel dynamics, the ECN-mark reactions the fairness
-// matrix depends on, and the FlowTable determinism contract — per-object
-// controllers, table-backed controllers (single-flow apply path), and the
-// staged batch path must produce bit-for-bit identical state.
+// matrix depends on, and the FlowTable determinism contract — a flow driven
+// through its SlotController handle (single-flow apply path) and the staged
+// batch path must produce bit-for-bit identical state, and router labels and
+// silence ticks must leave zoo slots alone.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cc/aimd.h"
-#include "cc/cubic.h"
-#include "cc/dcqcn.h"
 #include "cc/flow_table.h"
-#include "cc/scream_lite.h"
-#include "cc/swift.h"
 #include "cc/tfrc_lite.h"
+#include "one_flow.h"
 
 namespace pels {
 namespace {
+
+// The per-kernel tests drive one slot of the kind under test through its
+// SlotController handle and read the kind's state from the table.
+CcZooConfig zoo_with(const CubicConfig& cfg) {
+  CcZooConfig zoo;
+  zoo.cubic = cfg;
+  return zoo;
+}
+CcZooConfig zoo_with(const DcqcnConfig& cfg) {
+  CcZooConfig zoo;
+  zoo.dcqcn = cfg;
+  return zoo;
+}
+CcZooConfig zoo_with(const ScreamLiteConfig& cfg) {
+  CcZooConfig zoo;
+  zoo.scream = cfg;
+  return zoo;
+}
+double cwnd_pkts(const OneFlow& f) { return f.table.cubic_cwnd(f.slot); }
+double w_max(const OneFlow& f) { return f.table.cubic_wmax(f.slot); }
+double alpha(const OneFlow& f) { return f.table.dcqcn_alpha(f.slot); }
+double target_rate_bps(const OneFlow& f) { return f.table.dcqcn_target(f.slot); }
+std::int32_t recovery_stage(const OneFlow& f) { return f.table.dcqcn_stage(f.slot); }
 
 // ------------------------------------------------------------------ CUBIC
 
 TEST(CubicTest, SlowStartRampBeforeFirstEvent) {
   CubicConfig cfg;
-  CubicController cubic(cfg);
-  cubic.set_rtt(from_millis(100));
-  cubic.on_control_tick(0);
-  EXPECT_DOUBLE_EQ(cubic.cwnd_pkts(), cfg.initial_cwnd_pkts * cfg.slow_start_growth);
-  cubic.on_control_tick(from_millis(200));
-  EXPECT_DOUBLE_EQ(cubic.cwnd_pkts(),
+  OneFlow cubic(CcKind::kCubic, {}, zoo_with(cfg));
+  cubic.cc.set_rtt(from_millis(100));
+  cubic.cc.on_control_tick(0);
+  EXPECT_DOUBLE_EQ(cwnd_pkts(cubic), cfg.initial_cwnd_pkts * cfg.slow_start_growth);
+  cubic.cc.on_control_tick(from_millis(200));
+  EXPECT_DOUBLE_EQ(cwnd_pkts(cubic),
                    cfg.initial_cwnd_pkts * cfg.slow_start_growth * cfg.slow_start_growth);
 }
 
 TEST(CubicTest, LossEventCutsWindowAndRemembersPlateau) {
   CubicConfig cfg;
-  CubicController cubic(cfg);
-  cubic.set_rtt(from_millis(100));
-  const double before = cubic.cwnd_pkts();
-  cubic.on_loss_interval(0.1, from_millis(500));
-  EXPECT_DOUBLE_EQ(cubic.w_max(), before);
-  EXPECT_DOUBLE_EQ(cubic.cwnd_pkts(), before * cfg.beta);
-  EXPECT_DOUBLE_EQ(cubic.rate_bps(),
+  OneFlow cubic(CcKind::kCubic, {}, zoo_with(cfg));
+  cubic.cc.set_rtt(from_millis(100));
+  const double before = cwnd_pkts(cubic);
+  cubic.cc.on_loss_interval(0.1, from_millis(500));
+  EXPECT_DOUBLE_EQ(w_max(cubic), before);
+  EXPECT_DOUBLE_EQ(cwnd_pkts(cubic), before * cfg.beta);
+  EXPECT_DOUBLE_EQ(cubic.cc.rate_bps(),
                    cubic_rate_from_cwnd(cfg, before * cfg.beta, from_millis(100)));
 }
 
 TEST(CubicTest, EcnMarkBacksOffGentlerThanLoss) {
   CubicConfig cfg;
-  CubicController lossy(cfg);
-  CubicController marked(cfg);
-  lossy.set_rtt(from_millis(100));
-  marked.set_rtt(from_millis(100));
-  lossy.on_loss_interval(0.1, 0);
-  marked.on_mark_fraction(0.1, 0);
-  EXPECT_DOUBLE_EQ(lossy.cwnd_pkts(), cfg.initial_cwnd_pkts * cfg.beta);
-  EXPECT_DOUBLE_EQ(marked.cwnd_pkts(), cfg.initial_cwnd_pkts * cfg.ecn_beta);
-  EXPECT_GT(marked.cwnd_pkts(), lossy.cwnd_pkts());
+  OneFlow lossy(CcKind::kCubic, {}, zoo_with(cfg));
+  OneFlow marked(CcKind::kCubic, {}, zoo_with(cfg));
+  lossy.cc.set_rtt(from_millis(100));
+  marked.cc.set_rtt(from_millis(100));
+  lossy.cc.on_loss_interval(0.1, 0);
+  marked.cc.on_mark_fraction(0.1, 0);
+  EXPECT_DOUBLE_EQ(cwnd_pkts(lossy), cfg.initial_cwnd_pkts * cfg.beta);
+  EXPECT_DOUBLE_EQ(cwnd_pkts(marked), cfg.initial_cwnd_pkts * cfg.ecn_beta);
+  EXPECT_GT(cwnd_pkts(marked), cwnd_pkts(lossy));
 }
 
 TEST(CubicTest, ConcaveThenConvexGrowthAroundPlateau) {
@@ -67,18 +88,18 @@ TEST(CubicTest, ConcaveThenConvexGrowthAroundPlateau) {
   // negligible so the pure cubic curve is observable.
   CubicConfig cfg;
   cfg.initial_cwnd_pkts = 100.0;
-  CubicController cubic(cfg);
-  cubic.set_rtt(from_millis(500));
-  cubic.on_loss_interval(0.1, 0);
+  OneFlow cubic(CcKind::kCubic, {}, zoo_with(cfg));
+  cubic.cc.set_rtt(from_millis(500));
+  cubic.cc.on_loss_interval(0.1, 0);
   const double k_sec = std::cbrt(cfg.initial_cwnd_pkts * (1.0 - cfg.beta) / cfg.c);
 
   std::vector<double> t_sec;
   std::vector<double> cwnd;
   for (int i = 1; i <= 34; ++i) {
     const SimTime now = i * from_millis(250);
-    cubic.on_control_tick(now);
+    cubic.cc.on_control_tick(now);
     t_sec.push_back(to_seconds(now));
-    cwnd.push_back(cubic.cwnd_pkts());
+    cwnd.push_back(cwnd_pkts(cubic));
   }
   int concave_pairs = 0;
   int convex_pairs = 0;
@@ -104,12 +125,12 @@ TEST(CubicTest, TcpFriendlyRegionFloorsTheWindow) {
   // early cubic curve and must floor the window (RFC 9438 §4.3).
   CubicConfig cfg;
   cfg.initial_cwnd_pkts = 100.0;
-  CubicController cubic(cfg);
+  OneFlow cubic(CcKind::kCubic, {}, zoo_with(cfg));
   const SimTime rtt = from_millis(50);
-  cubic.set_rtt(rtt);
-  cubic.on_loss_interval(0.1, 0);
+  cubic.cc.set_rtt(rtt);
+  cubic.cc.on_loss_interval(0.1, 0);
   const SimTime now = 3 * kSecond;  // past the w_est/target crossover
-  cubic.on_control_tick(now);
+  cubic.cc.on_control_tick(now);
 
   const double t = to_seconds(now);
   const double k = std::cbrt(cfg.initial_cwnd_pkts * (1.0 - cfg.beta) / cfg.c);
@@ -118,56 +139,56 @@ TEST(CubicTest, TcpFriendlyRegionFloorsTheWindow) {
   const double w_est = cfg.initial_cwnd_pkts * cfg.beta +
                        3.0 * (1.0 - cfg.beta) / (1.0 + cfg.beta) * (t / to_seconds(rtt));
   ASSERT_GT(w_est, target);  // precondition: the friendly region governs here
-  EXPECT_DOUBLE_EQ(cubic.cwnd_pkts(), w_est);
+  EXPECT_DOUBLE_EQ(cwnd_pkts(cubic), w_est);
 }
 
 // ------------------------------------------------------------------ DCQCN
 
 TEST(DcqcnTest, MarkedIntervalCutsRateByHalfAlpha) {
   DcqcnConfig cfg;
-  DcqcnController dcqcn(cfg);
-  dcqcn.on_mark_fraction(0.3, 0);
+  OneFlow dcqcn(CcKind::kDcqcn, {}, zoo_with(cfg));
+  dcqcn.cc.on_mark_fraction(0.3, 0);
   // initial_alpha = 1: the first cut halves RC and remembers it as RT.
-  EXPECT_DOUBLE_EQ(dcqcn.rate_bps(), cfg.initial_rate_bps * 0.5);
-  EXPECT_DOUBLE_EQ(dcqcn.target_rate_bps(), cfg.initial_rate_bps);
-  EXPECT_EQ(dcqcn.recovery_stage(), 0);
+  EXPECT_DOUBLE_EQ(dcqcn.cc.rate_bps(), cfg.initial_rate_bps * 0.5);
+  EXPECT_DOUBLE_EQ(target_rate_bps(dcqcn), cfg.initial_rate_bps);
+  EXPECT_EQ(recovery_stage(dcqcn), 0);
 }
 
 TEST(DcqcnTest, AlphaDecaysOnCleanIntervals) {
   DcqcnConfig cfg;
-  DcqcnController dcqcn(cfg);
-  dcqcn.on_mark_fraction(0.3, 0);
-  const double alpha_after_mark = dcqcn.alpha();
-  for (int i = 0; i < 3; ++i) dcqcn.on_mark_fraction(0.0, 0);
-  EXPECT_DOUBLE_EQ(dcqcn.alpha(),
+  OneFlow dcqcn(CcKind::kDcqcn, {}, zoo_with(cfg));
+  dcqcn.cc.on_mark_fraction(0.3, 0);
+  const double alpha_after_mark = alpha(dcqcn);
+  for (int i = 0; i < 3; ++i) dcqcn.cc.on_mark_fraction(0.0, 0);
+  EXPECT_DOUBLE_EQ(alpha(dcqcn),
                    alpha_after_mark * std::pow(1.0 - cfg.alpha_g, 3.0));
 }
 
 TEST(DcqcnTest, FastRecoveryHalvesGapThenActiveIncreaseRaisesTarget) {
   DcqcnConfig cfg;
-  DcqcnController dcqcn(cfg);
-  dcqcn.on_mark_fraction(0.3, 0);  // RC = 64k, RT = 128k
+  OneFlow dcqcn(CcKind::kDcqcn, {}, zoo_with(cfg));
+  dcqcn.cc.on_mark_fraction(0.3, 0);  // RC = 64k, RT = 128k
   double expected_rate = cfg.initial_rate_bps * 0.5;
   for (int stage = 1; stage <= cfg.fast_recovery_stages; ++stage) {
-    dcqcn.on_mark_fraction(0.0, 0);
+    dcqcn.cc.on_mark_fraction(0.0, 0);
     expected_rate = 0.5 * (cfg.initial_rate_bps + expected_rate);
-    EXPECT_DOUBLE_EQ(dcqcn.rate_bps(), expected_rate) << "stage " << stage;
-    EXPECT_DOUBLE_EQ(dcqcn.target_rate_bps(), cfg.initial_rate_bps)
+    EXPECT_DOUBLE_EQ(dcqcn.cc.rate_bps(), expected_rate) << "stage " << stage;
+    EXPECT_DOUBLE_EQ(target_rate_bps(dcqcn), cfg.initial_rate_bps)
         << "target must not move during fast recovery";
   }
-  dcqcn.on_mark_fraction(0.0, 0);  // first active-increase stage
-  EXPECT_DOUBLE_EQ(dcqcn.target_rate_bps(), cfg.initial_rate_bps + cfg.rate_ai_bps);
-  EXPECT_GT(dcqcn.rate_bps(), expected_rate);
+  dcqcn.cc.on_mark_fraction(0.0, 0);  // first active-increase stage
+  EXPECT_DOUBLE_EQ(target_rate_bps(dcqcn), cfg.initial_rate_bps + cfg.rate_ai_bps);
+  EXPECT_GT(dcqcn.cc.rate_bps(), expected_rate);
 }
 
 TEST(DcqcnTest, LossActsLikeMarkedInterval) {
   DcqcnConfig cfg;
-  DcqcnController marked(cfg);
-  DcqcnController lossy(cfg);
-  marked.on_mark_fraction(0.3, 0);
-  lossy.on_loss_interval(0.3, 0);
-  EXPECT_DOUBLE_EQ(lossy.rate_bps(), marked.rate_bps());
-  EXPECT_DOUBLE_EQ(lossy.alpha(), marked.alpha());
+  OneFlow marked(CcKind::kDcqcn, {}, zoo_with(cfg));
+  OneFlow lossy(CcKind::kDcqcn, {}, zoo_with(cfg));
+  marked.cc.on_mark_fraction(0.3, 0);
+  lossy.cc.on_loss_interval(0.3, 0);
+  EXPECT_DOUBLE_EQ(lossy.cc.rate_bps(), marked.cc.rate_bps());
+  EXPECT_DOUBLE_EQ(alpha(lossy), alpha(marked));
 }
 
 // ------------------------------------------------------------------ Swift
@@ -221,39 +242,39 @@ TEST(SwiftTest, GradientSignDecidesInsideTheBand) {
 
 TEST(ScreamTest, RampScalesWithHeadroom) {
   ScreamLiteConfig cfg;
-  ScreamLiteController scream(cfg);
-  scream.set_rtt(from_millis(40));  // primes min_rtt: qdelay 0, full headroom
-  scream.on_control_tick(0);
-  EXPECT_DOUBLE_EQ(scream.rate_bps(), cfg.initial_rate_bps + cfg.increase_bps);
+  OneFlow scream(CcKind::kScream, {}, zoo_with(cfg));
+  scream.cc.set_rtt(from_millis(40));  // primes min_rtt: qdelay 0, full headroom
+  scream.cc.on_control_tick(0);
+  EXPECT_DOUBLE_EQ(scream.cc.rate_bps(), cfg.initial_rate_bps + cfg.increase_bps);
   // Half the target qdelay leaves half the headroom.
-  ScreamLiteController half(cfg);
-  half.set_rtt(from_millis(40));
-  half.set_rtt(from_millis(40) + cfg.qdelay_target / 2);
-  half.on_control_tick(0);
-  EXPECT_DOUBLE_EQ(half.rate_bps(), cfg.initial_rate_bps + cfg.increase_bps * 0.5);
+  OneFlow half(CcKind::kScream, {}, zoo_with(cfg));
+  half.cc.set_rtt(from_millis(40));
+  half.cc.set_rtt(from_millis(40) + cfg.qdelay_target / 2);
+  half.cc.on_control_tick(0);
+  EXPECT_DOUBLE_EQ(half.cc.rate_bps(), cfg.initial_rate_bps + cfg.increase_bps * 0.5);
 }
 
 TEST(ScreamTest, ShrinkProportionalToOvershoot) {
   ScreamLiteConfig cfg;
-  ScreamLiteController scream(cfg);
-  scream.set_rtt(from_millis(40));
-  scream.set_rtt(from_millis(40) + 2 * cfg.qdelay_target);  // overshoot = 1 (capped)
-  scream.on_control_tick(0);
-  EXPECT_DOUBLE_EQ(scream.rate_bps(),
+  OneFlow scream(CcKind::kScream, {}, zoo_with(cfg));
+  scream.cc.set_rtt(from_millis(40));
+  scream.cc.set_rtt(from_millis(40) + 2 * cfg.qdelay_target);  // overshoot = 1 (capped)
+  scream.cc.on_control_tick(0);
+  EXPECT_DOUBLE_EQ(scream.cc.rate_bps(),
                    cfg.initial_rate_bps * (1.0 - cfg.decrease_gain));
 }
 
 TEST(ScreamTest, LossAndMarkBackoffsFloorAtBeta) {
   ScreamLiteConfig cfg;
-  ScreamLiteController scream(cfg);
-  scream.on_loss_interval(0.5, 0);  // 1 - p = 0.5 < loss_beta: floored
-  EXPECT_DOUBLE_EQ(scream.rate_bps(), cfg.initial_rate_bps * cfg.loss_beta);
-  ScreamLiteController gentle(cfg);
-  gentle.on_mark_fraction(0.02, 0);  // 1 - f = 0.98 > mark_beta: proportional
-  EXPECT_DOUBLE_EQ(gentle.rate_bps(), cfg.initial_rate_bps * 0.98);
-  ScreamLiteController floored(cfg);
-  floored.on_mark_fraction(0.5, 0);
-  EXPECT_DOUBLE_EQ(floored.rate_bps(), cfg.initial_rate_bps * cfg.mark_beta);
+  OneFlow scream(CcKind::kScream, {}, zoo_with(cfg));
+  scream.cc.on_loss_interval(0.5, 0);  // 1 - p = 0.5 < loss_beta: floored
+  EXPECT_DOUBLE_EQ(scream.cc.rate_bps(), cfg.initial_rate_bps * cfg.loss_beta);
+  OneFlow gentle(CcKind::kScream, {}, zoo_with(cfg));
+  gentle.cc.on_mark_fraction(0.02, 0);  // 1 - f = 0.98 > mark_beta: proportional
+  EXPECT_DOUBLE_EQ(gentle.cc.rate_bps(), cfg.initial_rate_bps * 0.98);
+  OneFlow floored(CcKind::kScream, {}, zoo_with(cfg));
+  floored.cc.on_mark_fraction(0.5, 0);
+  EXPECT_DOUBLE_EQ(floored.cc.rate_bps(), cfg.initial_rate_bps * cfg.mark_beta);
 }
 
 // -------------------------------------------- ECN regressions (TFRC, AIMD)
@@ -316,11 +337,13 @@ TEST(AimdEcnTest, MarkBacksOffUnderSharedGuard) {
 struct ZooDriveInputs {
   SimTime now;
   SimTime rtt;        // 0 = no sample this tick
+  double label;       // router label p; NaN = no fresh label this tick
+  bool silence;       // feedback-watchdog tick (when no label)
   double loss;        // <= 0 = no loss interval this tick
   double mark;        // < 0 = no mark delivery; 0 = clean marked interval
 };
 
-std::vector<ZooDriveInputs> make_drive(int ticks) {
+std::vector<ZooDriveInputs> make_drive(int ticks, bool labels) {
   std::vector<ZooDriveInputs> out;
   std::uint64_t s = 0x9e3779b97f4a7c15ull;
   const auto next = [&s] {
@@ -337,16 +360,25 @@ std::vector<ZooDriveInputs> make_drive(int ticks) {
     // Marks are delivered every tick (the source reports the interval's mark
     // fraction whenever packets arrived), mostly 0.
     in.mark = (next() % 7 == 0) ? 0.05 * static_cast<double>(1 + next() % 10) : 0.0;
+    // Labels in [-1, 0.9) on two ticks in three, silence on a third of the
+    // rest. Drawn even when `labels` is off so both drives share the
+    // schedule above.
+    const std::uint64_t l = next();
+    in.label = labels && l % 3 != 0 ? static_cast<double>(l % 190) / 100.0 - 1.0
+                                    : std::numeric_limits<double>::quiet_NaN();
+    in.silence = labels && l % 9 == 0;
     out.push_back(in);
   }
   return out;
 }
 
-// Drives a per-object controller with the PelsSource control-clock order:
-// rtt, loss interval, mark fraction, control tick.
-void drive_object(CongestionController& cc, const std::vector<ZooDriveInputs>& drive) {
+// Drives a controller in the PelsSource order: rtt, label (or silence), loss
+// interval, mark fraction, control tick.
+void drive_handle(CongestionController& cc, const std::vector<ZooDriveInputs>& drive) {
   for (const auto& in : drive) {
     if (in.rtt > 0) cc.set_rtt(in.rtt);
+    if (!std::isnan(in.label)) cc.on_router_feedback(in.label, in.now);
+    if (in.silence) cc.on_feedback_silence(in.now);
     if (in.loss > 0.0) cc.on_loss_interval(in.loss, in.now);
     cc.on_mark_fraction(in.mark, in.now);
     cc.on_control_tick(in.now);
@@ -358,6 +390,8 @@ void drive_batch(FlowTable& table, FlowSlot slot,
                  const std::vector<ZooDriveInputs>& drive) {
   for (const auto& in : drive) {
     if (in.rtt > 0) table.stage_rtt(slot, in.rtt);
+    if (!std::isnan(in.label)) table.stage_feedback(slot, in.label);
+    if (in.silence) table.stage_silence(slot);
     if (in.loss > 0.0) table.stage_loss_interval(slot, in.loss);
     table.stage_mark_fraction(slot, in.mark);
     table.stage_control_tick(slot);
@@ -365,85 +399,43 @@ void drive_batch(FlowTable& table, FlowSlot slot,
   }
 }
 
+// Every zoo column of a slot, for whole-state comparisons.
+std::vector<double> zoo_state(const FlowTable& t, FlowSlot s) {
+  return {t.rate_bps(s),
+          static_cast<double>(t.srtt(s)),
+          static_cast<double>(t.min_rtt(s)),
+          t.cubic_cwnd(s),
+          t.cubic_wmax(s),
+          t.dcqcn_alpha(s),
+          static_cast<double>(t.dcqcn_stage(s)),
+          static_cast<double>(t.swift_prev_rtt(s))};
+}
+
 class ZooParityTest : public ::testing::TestWithParam<CcKind> {};
 
+// The handle (a CongestionController object over the table's single-flow
+// apply path) and the staged batch path agree bit for bit on a drive mixing
+// every input; and since router labels and silence ticks are MKC's signals,
+// the same drive without them ends in the same state.
 TEST_P(ZooParityTest, ObjectTableAndBatchPathsAreBitIdentical) {
   const CcKind kind = GetParam();
-  const CcZooConfig zoo;
-  const auto drive = make_drive(200);
+  const auto drive = make_drive(200, true);
 
-  // Path 1: plain per-object controller.
-  std::unique_ptr<CongestionController> object;
-  switch (kind) {
-    case CcKind::kCubic: object = std::make_unique<CubicController>(zoo.cubic); break;
-    case CcKind::kDcqcn: object = std::make_unique<DcqcnController>(zoo.dcqcn); break;
-    case CcKind::kSwift: object = std::make_unique<SwiftController>(zoo.swift); break;
-    case CcKind::kScream:
-      object = std::make_unique<ScreamLiteController>(zoo.scream);
-      break;
-    case CcKind::kMkc: FAIL() << "zoo parity covers the non-MKC kinds"; return;
-  }
-  drive_object(*object, drive);
+  OneFlow handle(kind);
+  drive_handle(handle.cc, drive);
 
-  // Path 2: table-backed controller (single-flow apply_* calls).
-  FlowTable applied(MkcConfig{}, GammaConfig{}, zoo);
-  const FlowSlot applied_slot = applied.add_flow(kind);
-  std::unique_ptr<CongestionController> backed;
-  switch (kind) {
-    case CcKind::kCubic:
-      backed = std::make_unique<CubicController>(applied, applied_slot);
-      break;
-    case CcKind::kDcqcn:
-      backed = std::make_unique<DcqcnController>(applied, applied_slot);
-      break;
-    case CcKind::kSwift:
-      backed = std::make_unique<SwiftController>(applied, applied_slot);
-      break;
-    case CcKind::kScream:
-      backed = std::make_unique<ScreamLiteController>(applied, applied_slot);
-      break;
-    case CcKind::kMkc: return;
-  }
-  drive_object(*backed, drive);
-
-  // Path 3: staged batch updates.
-  FlowTable batched(MkcConfig{}, GammaConfig{}, zoo);
+  FlowTable batched(MkcConfig{}, GammaConfig{});
   const FlowSlot batch_slot = batched.add_flow(kind);
   drive_batch(batched, batch_slot, drive);
 
-  EXPECT_EQ(object->rate_bps(), backed->rate_bps());
-  EXPECT_EQ(object->rate_bps(), batched.rate_bps(batch_slot));
-  // DCQCN never consumes RTT (no set_rtt override), so its applied-path
-  // table legitimately has no sRTT column updates; compare for the rest.
-  if (kind != CcKind::kDcqcn) {
-    EXPECT_EQ(applied.srtt(applied_slot), batched.srtt(batch_slot));
-  }
-  switch (kind) {
-    case CcKind::kCubic: {
-      auto& cubic = static_cast<CubicController&>(*object);
-      EXPECT_EQ(cubic.cwnd_pkts(), batched.cubic_cwnd(batch_slot));
-      EXPECT_EQ(cubic.w_max(), batched.cubic_wmax(batch_slot));
-      EXPECT_EQ(applied.cubic_cwnd(applied_slot), batched.cubic_cwnd(batch_slot));
-      break;
-    }
-    case CcKind::kDcqcn: {
-      auto& dcqcn = static_cast<DcqcnController&>(*object);
-      EXPECT_EQ(dcqcn.alpha(), batched.dcqcn_alpha(batch_slot));
-      EXPECT_EQ(dcqcn.target_rate_bps(), batched.dcqcn_target(batch_slot));
-      EXPECT_EQ(dcqcn.recovery_stage(), batched.dcqcn_stage(batch_slot));
-      break;
-    }
-    case CcKind::kSwift: {
-      EXPECT_EQ(applied.swift_prev_rtt(applied_slot), batched.swift_prev_rtt(batch_slot));
-      EXPECT_EQ(applied.min_rtt(applied_slot), batched.min_rtt(batch_slot));
-      break;
-    }
-    case CcKind::kScream: {
-      EXPECT_EQ(applied.min_rtt(applied_slot), batched.min_rtt(batch_slot));
-      break;
-    }
-    case CcKind::kMkc: break;
-  }
+  OneFlow label_free(kind);
+  drive_handle(label_free.cc, make_drive(200, false));
+
+  EXPECT_EQ(zoo_state(handle.table, handle.slot), zoo_state(batched, batch_slot));
+  EXPECT_EQ(zoo_state(handle.table, handle.slot),
+            zoo_state(label_free.table, label_free.slot));
+  EXPECT_EQ(handle.table.mkc_updates(handle.slot), 0u);
+  EXPECT_FALSE(handle.table.in_silence(handle.slot));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllZooKinds, ZooParityTest,
@@ -472,6 +464,53 @@ TEST(FlowTableZooTest, ZooColumnsAreLazy) {
   EXPECT_TRUE(table.zoo_enabled());
   EXPECT_EQ(table.kind(zoo_slot), CcKind::kCubic);
   EXPECT_GT(table.memory_bytes(), mkc_only);
+}
+
+TEST(FlowTableZooTest, RouterLabelsAndSilenceSteerMkcSlotsOnly) {
+  // A router label or a watchdog tick must not run the MKC kernels on a zoo
+  // slot, neither through the handle's apply path nor through the batch.
+  FlowTable table(MkcConfig{}, GammaConfig{});
+  const FlowSlot mkc = table.add_flow();
+  const FlowSlot cubic = table.add_flow(CcKind::kCubic);
+  const FlowSlot dcqcn = table.add_flow(CcKind::kDcqcn);
+  const double cubic_start = table.rate_bps(cubic);
+  const double dcqcn_start = table.rate_bps(dcqcn);
+
+  for (const FlowSlot s : {mkc, cubic, dcqcn}) {
+    SlotController(table, s).on_router_feedback(0.3, 0);
+    SlotController(table, s).on_feedback_silence(0);
+    table.stage_feedback(s, 0.3);
+  }
+  table.batch_control_tick();
+  for (const FlowSlot s : {mkc, cubic, dcqcn}) table.stage_silence(s);
+  table.batch_control_tick();
+
+  EXPECT_EQ(table.rate_bps(cubic), cubic_start);
+  EXPECT_EQ(table.rate_bps(dcqcn), dcqcn_start);
+  EXPECT_EQ(table.dcqcn_target(dcqcn), dcqcn_start);
+  for (const FlowSlot s : {cubic, dcqcn}) {
+    EXPECT_EQ(table.mkc_updates(s), 0u);
+    EXPECT_EQ(table.silence_ticks(s), 0u);
+    EXPECT_FALSE(table.in_silence(s));
+  }
+  EXPECT_EQ(table.mkc_updates(mkc), 2u);
+  EXPECT_EQ(table.silence_ticks(mkc), 2u);
+  EXPECT_LT(table.rate_bps(mkc), MkcConfig{}.initial_rate_bps);
+}
+
+TEST(FlowTableZooTest, SetKindRestartsTheSlotAtTheKindsOperatingPoint) {
+  const CcZooConfig zoo;
+  FlowTable table(MkcConfig{}, GammaConfig{}, zoo);
+  const FlowSlot s = table.add_flow();
+  table.apply_feedback(s, -1.0);
+  table.apply_gamma(s, 0.3);
+  const double gamma = table.gamma(s);
+  table.set_kind(s, CcKind::kDcqcn);
+  EXPECT_EQ(table.kind(s), CcKind::kDcqcn);
+  EXPECT_EQ(table.rate_bps(s), zoo.dcqcn.initial_rate_bps);
+  EXPECT_EQ(table.dcqcn_alpha(s), zoo.dcqcn.initial_alpha);
+  EXPECT_EQ(table.gamma(s), gamma);  // gamma and pacing are not the kind's
+  EXPECT_STREQ(SlotController(table, s).name(), "DCQCN");
 }
 
 }  // namespace

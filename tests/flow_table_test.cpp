@@ -1,14 +1,13 @@
 // FlowTable unit tests: slot lifecycle and the bit-for-bit equivalence of
-// table-backed control against the per-object controllers (the determinism
-// contract stated in cc/flow_table.h).
+// the single-flow path (SlotController handles over apply_*) and the staged
+// batch path (the determinism contract stated in cc/flow_table.h).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cc/flow_table.h"
-#include "cc/mkc.h"
+#include "one_flow.h"
 #include "util/rng.h"
-#include "video/gamma_controller.h"
 
 namespace pels {
 namespace {
@@ -71,51 +70,18 @@ TEST(FlowTableTest, ReserveKeepsColumnsStable) {
 }
 
 // The core contract: any interleaving of feedback / silence / gamma inputs
-// produces exactly the same doubles through (a) the standalone controllers,
-// (b) the table's single-flow operations, and (c) the staged batch path.
-TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
-  const MkcConfig mkc = mkc_config();
-  const GammaConfig gc = gamma_config();
-  MkcController ctrl(mkc);
-  GammaController gamma(gc);
-  FlowTable table(mkc, gc);
-  const FlowSlot slot = table.add_flow();
-
-  Rng rng(7, 0xF10);
-  for (int step = 0; step < 2000; ++step) {
-    const int op = static_cast<int>(rng.uniform_int(0, 2));
-    if (op == 0) {
-      const double p = rng.uniform(-2.0, 0.9);
-      ctrl.on_router_feedback(p, 0);
-      table.apply_feedback(slot, p);
-    } else if (op == 1) {
-      ctrl.on_feedback_silence(0);
-      table.apply_silence(slot);
-    } else {
-      const double p_fgs = rng.uniform(-0.2, 1.2);
-      gamma.update(p_fgs);
-      table.apply_gamma(slot, p_fgs);
-    }
-    ASSERT_EQ(ctrl.rate_bps(), table.rate_bps(slot)) << "step " << step;
-    ASSERT_EQ(ctrl.in_silence(), table.in_silence(slot)) << "step " << step;
-    ASSERT_EQ(gamma.gamma(), table.gamma(slot)) << "step " << step;
-  }
-  EXPECT_EQ(ctrl.updates(), table.mkc_updates(slot));
-  EXPECT_EQ(ctrl.silence_ticks(), table.silence_ticks(slot));
-  EXPECT_EQ(gamma.updates(), table.gamma_updates(slot));
-}
-
+// produces exactly the same doubles through the per-flow handles (single-flow
+// apply path) and through the staged batch path.
 TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
   const MkcConfig mkc = mkc_config();
   const GammaConfig gc = gamma_config();
   constexpr int kFlows = 17;
 
-  std::vector<MkcController> ctrls;
-  std::vector<GammaController> gammas;
+  FlowTable single(mkc, gc);
+  std::vector<SlotController> ctrls;
   FlowTable table(mkc, gc);
   for (int i = 0; i < kFlows; ++i) {
-    ctrls.emplace_back(mkc);
-    gammas.emplace_back(gc);
+    ctrls.emplace_back(single, single.add_flow());
     table.add_flow();
   }
 
@@ -139,7 +105,7 @@ TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
       }
       if (op != 3 && rng.bernoulli(0.5)) {
         const double p_fgs = rng.uniform(0.0, 1.0);
-        gammas[static_cast<std::size_t>(i)].update(p_fgs);
+        single.apply_gamma(slot, p_fgs);
         table.stage_gamma(slot, p_fgs);
         ++gamma_updates;
       }
@@ -152,7 +118,7 @@ TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
       const auto slot = static_cast<FlowSlot>(i);
       ASSERT_EQ(ctrls[static_cast<std::size_t>(i)].rate_bps(), table.rate_bps(slot))
           << "tick " << tick << " flow " << i;
-      ASSERT_EQ(gammas[static_cast<std::size_t>(i)].gamma(), table.gamma(slot))
+      ASSERT_EQ(single.gamma(slot), table.gamma(slot))
           << "tick " << tick << " flow " << i;
     }
   }
@@ -165,8 +131,8 @@ TEST(FlowTableTest, StagedFeedbackSupersedesSilenceEitherOrder) {
   const FlowSlot b = table.add_flow();
 
   // Reference: a flow that receives only the feedback.
-  MkcController ref(mkc);
-  ref.on_router_feedback(0.1, 0);
+  OneFlow ref(CcKind::kMkc, mkc);
+  ref.cc.on_router_feedback(0.1, 0);
 
   table.stage_silence(a);
   table.stage_feedback(a, 0.1);  // fresh label ends the silence episode
@@ -175,8 +141,8 @@ TEST(FlowTableTest, StagedFeedbackSupersedesSilenceEitherOrder) {
   const FlowTable::BatchStats stats = table.batch_control_tick();
   EXPECT_EQ(stats.feedback_applied, 2u);
   EXPECT_EQ(stats.silences, 0u);
-  EXPECT_EQ(table.rate_bps(a), ref.rate_bps());
-  EXPECT_EQ(table.rate_bps(b), ref.rate_bps());
+  EXPECT_EQ(table.rate_bps(a), ref.cc.rate_bps());
+  EXPECT_EQ(table.rate_bps(b), ref.cc.rate_bps());
   EXPECT_EQ(table.silence_ticks(a), 0u);
   EXPECT_EQ(table.silence_ticks(b), 0u);
 }
@@ -184,13 +150,13 @@ TEST(FlowTableTest, StagedFeedbackSupersedesSilenceEitherOrder) {
 TEST(FlowTableTest, StagedInputLatestWinsWithinTick) {
   FlowTable table(mkc_config(), gamma_config());
   const FlowSlot s = table.add_flow();
-  MkcController ref(mkc_config());
+  OneFlow ref(CcKind::kMkc, mkc_config());
 
   table.stage_feedback(s, 0.5);
   table.stage_feedback(s, 0.1);  // supersedes within the tick
   table.batch_control_tick();
-  ref.on_router_feedback(0.1, 0);
-  EXPECT_EQ(table.rate_bps(s), ref.rate_bps());
+  ref.cc.on_router_feedback(0.1, 0);
+  EXPECT_EQ(table.rate_bps(s), ref.cc.rate_bps());
   EXPECT_EQ(table.mkc_updates(s), 1u);
 }
 
@@ -204,27 +170,6 @@ TEST(FlowTableTest, RemovedFlowDropsItsStagedInput) {
   const FlowTable::BatchStats stats = table.batch_control_tick();
   EXPECT_EQ(stats.feedback_applied, 1u);
   EXPECT_EQ(table.mkc_updates(keep), 1u);
-}
-
-TEST(FlowTableTest, TableBackedControllerRoutesThroughTable) {
-  const MkcConfig mkc = mkc_config();
-  FlowTable table(mkc, gamma_config());
-  const FlowSlot slot = table.add_flow();
-  MkcController routed(table, slot);
-  MkcController standalone(mkc);
-
-  routed.on_router_feedback(0.2, 0);
-  standalone.on_router_feedback(0.2, 0);
-  EXPECT_EQ(routed.rate_bps(), standalone.rate_bps());
-  EXPECT_EQ(routed.rate_bps(), table.rate_bps(slot));
-  EXPECT_EQ(routed.updates(), 1u);
-
-  routed.on_feedback_silence(0);
-  standalone.on_feedback_silence(0);
-  EXPECT_EQ(routed.rate_bps(), standalone.rate_bps());
-  EXPECT_TRUE(routed.in_silence());
-  EXPECT_TRUE(table.in_silence(slot));
-  EXPECT_EQ(routed.silence_ticks(), 1u);
 }
 
 }  // namespace

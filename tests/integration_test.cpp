@@ -32,7 +32,8 @@ TEST(IntegrationMkc, SingleFlowConvergesToPelsCapacity) {
   DumbbellScenario s(cfg);
   s.run_until(20 * kSecond);
   // r* = C + alpha/beta = 2 mb/s + 40 kb/s.
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 1, cfg.mkc);
+  const double r_star =
+      mkc_stationary_rate(s.video_capacity_bps(), 1, cfg.mkc.alpha_bps, cfg.mkc.beta);
   EXPECT_NEAR(s.source(0).rate_bps(), r_star, r_star * 0.05);
 }
 
@@ -42,7 +43,8 @@ TEST(IntegrationMkc, TwoFlowsConvergeToFairShare) {
   cfg.start_times = {0, 10 * kSecond};
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star =
+      mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc.alpha_bps, cfg.mkc.beta);
   EXPECT_NEAR(s.source(0).rate_bps(), r_star, r_star * 0.08);
   EXPECT_NEAR(s.source(1).rate_bps(), r_star, r_star * 0.08);
   const double shares[] = {s.source(0).rate_bps(), s.source(1).rate_bps()};
@@ -70,7 +72,8 @@ TEST(IntegrationMkc, SteadyStateHasNoOscillation) {
   ScenarioConfig cfg = base_config(2);
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star =
+      mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc.alpha_bps, cfg.mkc.beta);
   const double mean = s.source(0).rate_series().mean_in(20 * kSecond, 40 * kSecond);
   EXPECT_NEAR(mean, r_star, r_star * 0.03);
   const double osc = s.source(0).rate_series().oscillation_in(20 * kSecond, 40 * kSecond);
@@ -83,10 +86,10 @@ TEST(IntegrationMkc, EpochFilteringConsumesEachEpochOnce) {
   ScenarioConfig cfg = base_config(1);
   DumbbellScenario s(cfg);
   s.run_until(10 * kSecond);
-  auto& mkc = dynamic_cast<MkcController&>(s.source(0).controller());
+  const std::uint64_t updates = s.flow_table().mkc_updates(s.source(0).slot());
   const auto epochs = s.pels_queue()->epoch();
-  EXPECT_LE(mkc.updates(), epochs);
-  EXPECT_GT(mkc.updates(), epochs / 2);  // and it does consume most of them
+  EXPECT_LE(updates, epochs);
+  EXPECT_GT(updates, epochs / 2);  // and it does consume most of them
 }
 
 // ------------------------------------------------------- gamma behaviour
@@ -281,7 +284,7 @@ TEST(IntegrationIsolation, PelsUnaffectedByTcpCount) {
 
 TEST(IntegrationCc, PelsWorksWithAimd) {
   ScenarioConfig cfg = base_config(2);
-  cfg.make_controller = [](int) {
+  cfg.make_controller = [](int, FlowTable&, FlowSlot) {
     AimdConfig acfg;
     acfg.initial_rate_bps = 128e3;
     return std::make_unique<AimdController>(acfg);
@@ -296,7 +299,7 @@ TEST(IntegrationCc, PelsWorksWithAimd) {
 
 TEST(IntegrationCc, PelsWorksWithTfrc) {
   ScenarioConfig cfg = base_config(2);
-  cfg.make_controller = [](int) {
+  cfg.make_controller = [](int, FlowTable&, FlowSlot) {
     return std::make_unique<TfrcLiteController>(TfrcLiteConfig{});
   };
   DumbbellScenario s(cfg);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cc/flow_table.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "video/decoder.h"
@@ -137,13 +138,23 @@ TEST(PacketizeTest, EmptyFgsProducesOnlyBasePackets) {
   for (const auto& p : pkts) EXPECT_EQ(p.color, Color::kGreen);
 }
 
-// -------------------------------------------------------- GammaController
+// ------------------------------------------------ gamma controller (eq. (4))
+
+// One flow's gamma column on its own table, updated the way PelsSource does.
+struct GammaSlot {
+  explicit GammaSlot(GammaConfig cfg) : table(MkcConfig{}, cfg), slot(table.add_flow()) {}
+  double update(double p) { return table.apply_gamma(slot, p); }
+  double gamma() const { return table.gamma(slot); }
+
+  FlowTable table;
+  FlowSlot slot;
+};
 
 TEST(GammaControllerTest, ConvergesToFixedPoint) {
   GammaConfig cfg;
   cfg.sigma = 0.5;
   cfg.p_thr = 0.75;
-  GammaController g(cfg);
+  GammaSlot g(cfg);
   for (int i = 0; i < 100; ++i) g.update(0.15);
   EXPECT_NEAR(g.gamma(), 0.15 / 0.75, 1e-6);
 }
@@ -151,7 +162,7 @@ TEST(GammaControllerTest, ConvergesToFixedPoint) {
 TEST(GammaControllerTest, FixedPointMakesRedLossEqualThreshold) {
   // At gamma* = p/p_thr, red loss p/gamma* = p_thr (Lemma 4).
   GammaConfig cfg;
-  GammaController g(cfg);
+  GammaSlot g(cfg);
   const double p = 0.3;
   for (int i = 0; i < 200; ++i) g.update(p);
   EXPECT_NEAR(p / g.gamma(), cfg.p_thr, 1e-6);
@@ -160,7 +171,7 @@ TEST(GammaControllerTest, FixedPointMakesRedLossEqualThreshold) {
 TEST(GammaControllerTest, DropsToFloorWithoutLoss) {
   GammaConfig cfg;
   cfg.gamma_low = 0.05;
-  GammaController g(cfg);
+  GammaSlot g(cfg);
   for (int i = 0; i < 100; ++i) g.update(0.0);
   EXPECT_DOUBLE_EQ(g.gamma(), 0.05);
 }
@@ -168,13 +179,13 @@ TEST(GammaControllerTest, DropsToFloorWithoutLoss) {
 TEST(GammaControllerTest, ClampsAtCeiling) {
   GammaConfig cfg;
   cfg.gamma_high = 0.95;
-  GammaController g(cfg);
+  GammaSlot g(cfg);
   for (int i = 0; i < 100; ++i) g.update(1.0);  // p/p_thr = 1.33 > ceiling
   EXPECT_DOUBLE_EQ(g.gamma(), 0.95);
 }
 
 TEST(GammaControllerTest, TracksLossChanges) {
-  GammaController g(GammaConfig{});
+  GammaSlot g(GammaConfig{});
   for (int i = 0; i < 100; ++i) g.update(0.07);
   const double low = g.gamma();
   for (int i = 0; i < 100; ++i) g.update(0.14);
@@ -182,12 +193,12 @@ TEST(GammaControllerTest, TracksLossChanges) {
 }
 
 TEST(GammaControllerTest, StabilityPredicate) {
-  EXPECT_FALSE(GammaController::is_stable_gain(0.0));
-  EXPECT_TRUE(GammaController::is_stable_gain(0.5));
-  EXPECT_TRUE(GammaController::is_stable_gain(1.99));
-  EXPECT_FALSE(GammaController::is_stable_gain(2.0));
-  EXPECT_FALSE(GammaController::is_stable_gain(3.0));
-  EXPECT_FALSE(GammaController::is_stable_gain(-0.5));
+  EXPECT_FALSE(gamma_stable_gain(0.0));
+  EXPECT_TRUE(gamma_stable_gain(0.5));
+  EXPECT_TRUE(gamma_stable_gain(1.99));
+  EXPECT_FALSE(gamma_stable_gain(2.0));
+  EXPECT_FALSE(gamma_stable_gain(3.0));
+  EXPECT_FALSE(gamma_stable_gain(-0.5));
 }
 
 TEST(GammaControllerTest, PureIterateMatchesLemma) {
@@ -199,10 +210,9 @@ TEST(GammaControllerTest, StationaryGammaClamped) {
   GammaConfig cfg;
   cfg.gamma_low = 0.05;
   cfg.gamma_high = 0.95;
-  GammaController g(cfg);
-  EXPECT_DOUBLE_EQ(g.stationary_gamma(0.0), 0.05);
-  EXPECT_NEAR(g.stationary_gamma(0.15), 0.2, 1e-9);
-  EXPECT_DOUBLE_EQ(g.stationary_gamma(0.9), 0.95);
+  EXPECT_DOUBLE_EQ(stationary_gamma(cfg, 0.0), 0.05);
+  EXPECT_NEAR(stationary_gamma(cfg, 0.15), 0.2, 1e-9);
+  EXPECT_DOUBLE_EQ(stationary_gamma(cfg, 0.9), 0.95);
 }
 
 // ---------------------------------------------------------------- RdModel
