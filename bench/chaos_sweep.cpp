@@ -403,11 +403,16 @@ int main(int argc, char** argv) {
   std::string label = "now";
   std::string repro_path = "chaos_repro.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--schedules") == 0 && i + 1 < argc) schedules = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-    else if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc) repro_path = argv[++i];
+    if (std::strcmp(argv[i], "--smoke") == 0)
+      smoke = true;
+    else if (std::strcmp(argv[i], "--schedules") == 0 && i + 1 < argc)
+      schedules = std::atoi(argv[++i]);
+    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+      json_path = argv[++i];
+    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc)
+      label = argv[++i];
+    else if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc)
+      repro_path = argv[++i];
   }
   if (schedules <= 0) schedules = smoke ? 24 : 200;
   const std::uint64_t campaign_seed = 0xC405;

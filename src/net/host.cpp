@@ -8,7 +8,7 @@ void Host::register_agent(FlowId flow, Agent* agent) { agents_[flow] = agent; }
 
 void Host::unregister_agent(FlowId flow) { agents_.erase(flow); }
 
-bool Host::send(Packet pkt) {
+bool Host::send(Packet&& pkt) {
   Link* link = routing_.route_to(pkt.dst);
   if (link == nullptr) {
     ++undeliverable_;
@@ -17,7 +17,7 @@ bool Host::send(Packet pkt) {
   return link->send(std::move(pkt));
 }
 
-void Host::receive(Packet pkt) {
+void Host::receive(Packet&& pkt) {
   ++received_;
   // Per-flow registrations win over the default agent. The empty-map guard
   // is the population-scale fast path: a host serving 10^6 table-backed

@@ -45,12 +45,13 @@ class Host : public Node {
   void reserve_agents(std::size_t flows) { agents_.reserve(flows); }
 
   /// Sends a packet toward pkt.dst via the routing table.
-  /// Returns false if no route exists or the first queue dropped the packet.
-  bool send(Packet pkt);
+  /// Returns false if no route exists or the first queue dropped the packet;
+  /// either way `pkt` is consumed (see QueueDisc::enqueue).
+  bool send(Packet&& pkt);
 
   RoutingTable& routing() { return routing_; }
 
-  void receive(Packet pkt) override;
+  void receive(Packet&& pkt) override;
 
   std::uint64_t packets_received() const { return received_; }
   std::uint64_t packets_undeliverable() const { return undeliverable_; }

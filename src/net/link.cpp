@@ -26,7 +26,7 @@ Link::Link(Simulation& sim, Node& dst, double bandwidth_bps, SimTime prop_delay,
   assert(queue_ != nullptr);
 }
 
-bool Link::send(Packet pkt) {
+bool Link::send(Packet&& pkt) {
   const bool accepted = queue_->enqueue(std::move(pkt));
   if (!accepted || !up_) return accepted;
   const SimTime now = sim_.now();
@@ -51,11 +51,7 @@ bool Link::start_transmission(SimTime now) {
   tx_start_ = now;
   busy_until_ = now + tx;
   wire_settled_ = false;
-  InFlight entry;
-  entry.pkt = std::move(*pkt);
-  entry.tx_end = busy_until_;
-  entry.deliver_at = busy_until_ + prop_delay_;
-  ring_.push_back(std::move(entry));
+  ring_.emplace_back(std::move(*pkt), busy_until_, busy_until_ + prop_delay_);
   return true;
 }
 

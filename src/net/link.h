@@ -44,8 +44,9 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Offers a packet for transmission. Returns false if the queue dropped it.
-  bool send(Packet pkt);
+  /// Offers a packet for transmission. Returns false if the queue dropped it;
+  /// either way `pkt` is consumed (see QueueDisc::enqueue).
+  bool send(Packet&& pkt);
 
   QueueDisc& queue() { return *queue_; }
   const QueueDisc& queue() const { return *queue_; }
@@ -134,9 +135,12 @@ class Link {
   /// `deliver_at` = tx_end + prop_delay (constant per link, so ring order is
   /// delivery order). `wire_lost` records a carrier drop mid-serialization.
   struct InFlight {
+    InFlight(Packet&& p, SimTime tx_end_at, SimTime deliver_at_time)
+        : pkt(std::move(p)), tx_end(tx_end_at), deliver_at(deliver_at_time) {}
+
     Packet pkt;
-    SimTime tx_end = 0;
-    SimTime deliver_at = 0;
+    SimTime tx_end;
+    SimTime deliver_at;
     bool wire_lost = false;
   };
 
@@ -172,7 +176,7 @@ class Link {
   SimTime busy_time_ = 0;     // serialization time of *finished* packets
 
   // In-flight FIFO ring (power-of-two capacity, grown on demand; steady
-  // state never allocates).
+  // state never allocates; an idle wire restarts it at its first slot).
   RingBuffer<InFlight> ring_;
 
   // The single pending scheduler event (0 = none) and its deadline.

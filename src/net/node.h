@@ -24,8 +24,10 @@ class Node {
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  /// Called by a Link when a packet arrives at this node.
-  virtual void receive(Packet pkt) = 0;
+  /// Called by a Link when a packet arrives at this node. The packet is
+  /// passed by reference down the whole forwarding chain (receive ->
+  /// Link::send -> QueueDisc::enqueue) and moved once, into the next queue.
+  virtual void receive(Packet&& pkt) = 0;
 
  private:
   NodeId id_;

@@ -4,7 +4,8 @@
 // framework needs: flow/sequence identity, priority colour, video frame
 // position, the in-band router feedback label (router id, epoch, loss), and —
 // for acknowledgements — the receiver's echoed feedback and loss statistics.
-// Packets are plain values moved through queues and links.
+// Packets are plain values, moved into queue and wire slots and passed by
+// reference between them.
 #pragma once
 
 #include <cstdint>
@@ -157,8 +158,10 @@ struct Packet {
   bool is_ack() const { return ack.has_value(); }
 };
 
-// Hot-path memory budget: every enqueue, scheduler lambda, and deque slot
-// carries a Packet by value, so its size is a throughput knob
+// Hot-path memory budget: the forwarding chain passes a Packet by reference
+// (Node::receive -> Link::send -> QueueDisc::enqueue), but every queue and
+// wire ring slot, dequeue and packet-carrying scheduler lambda still holds or
+// moves one by value, so its size is a throughput knob
 // (bench/micro_pipeline). 112 bytes = headers + 40-byte feedback label +
 // 8-byte boxed ack pointer on LP64; the slack to 128 allows a couple of new
 // header fields, but re-inlining a payload (the optional<AckInfo> this

@@ -54,10 +54,15 @@ class QueueDisc {
 
   virtual ~QueueDisc() = default;
 
-  /// Offers a packet to the queue. Returns true if accepted, false if the
-  /// packet (or another one, for push-out policies) was dropped. Counters and
-  /// the drop handler observe every drop either way.
-  virtual bool enqueue(Packet pkt) = 0;
+  /// Offers a packet to the queue. The packet travels by reference through
+  /// every wrapping layer and is moved once, into the discipline's storage,
+  /// if accepted. Returns true if accepted, false if the packet (or another
+  /// one, for push-out policies) was dropped; counters and the drop handler
+  /// observe every drop either way. A rejected packet may be left intact or
+  /// moved-from: the caller treats `pkt` as consumed and only lets it go out
+  /// of scope, which releases what it still owns (a boxed AckInfo) exactly
+  /// once.
+  virtual bool enqueue(Packet&& pkt) = 0;
 
   /// Removes and returns the next packet to transmit, or nullopt if empty.
   virtual std::optional<Packet> dequeue() = 0;

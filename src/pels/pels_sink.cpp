@@ -35,6 +35,7 @@ void PelsSink::on_packet(const Packet& pkt) {
   // unwrapped frame nearest the newest one seen, so frame 0 of the second
   // pass does not merge into frame 0 of the first.
   std::int64_t unwrapped = -1;
+  OpenFrame* frame = nullptr;  // set iff the packet belongs to an open frame
   if (pkt.frame_id >= 0) {
     unwrapped = pkt.frame_id;
     if (max_frame_seen_ >= 0) {
@@ -47,9 +48,9 @@ void PelsSink::on_packet(const Packet& pkt) {
     // open frame has already absorbed is acked — the cumulative ACK counters
     // are idempotent for the sender — but contributes nothing to counters,
     // delay samples, or the reception record.
-    if (unwrapped > last_finalized_) {
-      auto dup = open_frames_.find(unwrapped);
-      if (dup != open_frames_.end() && dup->second.uids.count(pkt.uid) > 0) {
+    if (unwrapped > last_finalized_) {  // else: past its deadline — lost
+      frame = &open_frames_[unwrapped];
+      if (std::find(frame->uids.begin(), frame->uids.end(), pkt.uid) != frame->uids.end()) {
         ++duplicates_ignored_;
         send_ack(pkt);
         return;
@@ -65,35 +66,32 @@ void PelsSink::on_packet(const Packet& pkt) {
   delays_[c].add(delay_s);
   delay_series_[c].add(sim_.now(), delay_s);
 
-  if (pkt.frame_id >= 0) {
-    if (unwrapped > last_finalized_) {  // else: past its deadline — lost
-      if (pkt.color == Color::kYellow || pkt.color == Color::kRed) {
-        recv_fgs_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
-      }
-      OpenFrame& frame = open_frames_[unwrapped];
-      frame.uids.insert(pkt.uid);
-      FrameReception& rx = frame.rx;
-      if (rx.frame_id < 0) {
-        rx.frame_id = pkt.frame_id;
-        rx.base_bytes_expected = video_.base_layer_bytes;
-      }
-      // Classify by frame position, not colour: markers (TCM) may recolour
-      // packets, but a negative frame offset always means base-layer data.
-      if (pkt.frame_offset < 0) {
-        rx.base_bytes_received += pkt.size_bytes;
+  if (frame != nullptr) {
+    if (pkt.color == Color::kYellow || pkt.color == Color::kRed) {
+      recv_fgs_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
+    }
+    frame->uids.push_back(pkt.uid);
+    FrameReception& rx = frame->rx;
+    if (rx.frame_id < 0) {
+      rx.frame_id = pkt.frame_id;
+      rx.base_bytes_expected = video_.base_layer_bytes;
+    }
+    // Classify by frame position, not colour: markers (TCM) may recolour
+    // packets, but a negative frame offset always means base-layer data.
+    if (pkt.frame_offset < 0) {
+      rx.base_bytes_received += pkt.size_bytes;
+      rx.completed_at = std::max(rx.completed_at, sim_.now());
+    } else {
+      rx.fgs_chunks.emplace_back(pkt.frame_offset, pkt.size_bytes);
+      if (pkt.color != Color::kRed)
         rx.completed_at = std::max(rx.completed_at, sim_.now());
-      } else {
-        rx.fgs_chunks.emplace_back(pkt.frame_offset, pkt.size_bytes);
-        if (pkt.color != Color::kRed)
-          rx.completed_at = std::max(rx.completed_at, sim_.now());
-      }
-      max_frame_seen_ = std::max(max_frame_seen_, unwrapped);
-      // Finalize frames that have passed their deadline.
-      while (!open_frames_.empty() &&
-             open_frames_.begin()->first <= max_frame_seen_ - kFinalizeLagFrames) {
-        auto node = open_frames_.extract(open_frames_.begin());
-        finalize_frame(node.key(), std::move(node.mapped().rx));
-      }
+    }
+    max_frame_seen_ = std::max(max_frame_seen_, unwrapped);
+    // Finalize frames that have passed their deadline.
+    while (!open_frames_.empty() &&
+           open_frames_.begin()->first <= max_frame_seen_ - kFinalizeLagFrames) {
+      auto node = open_frames_.extract(open_frames_.begin());
+      finalize_frame(node.key(), std::move(node.mapped().rx));
     }
   }
   send_ack(pkt);

@@ -13,7 +13,6 @@
 
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "net/host.h"
@@ -101,10 +100,12 @@ class PelsSink : public Agent {
 
   /// A frame being assembled plus the uids already absorbed into it, so a
   /// duplicated packet (link retransmission, fault injection) cannot inflate
-  /// the reception record. The set dies with the frame, bounding memory.
+  /// the reception record. A flat vector, scanned linearly: a frame holds a
+  /// few dozen packets, and a hash set would allocate a node per packet.
+  /// The list dies with the frame, bounding memory.
   struct OpenFrame {
     FrameReception rx;
-    std::unordered_set<std::uint64_t> uids;
+    std::vector<std::uint64_t> uids;
   };
 
   std::map<std::int64_t, OpenFrame> open_frames_;  // keyed by unwrapped id

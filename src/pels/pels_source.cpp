@@ -92,8 +92,7 @@ void PelsSource::on_frame_clock() {
 void PelsSource::pace_next() {
   pace_event_ = 0;
   if (send_buffer_.empty()) return;
-  Packet pkt = std::move(send_buffer_.front());
-  send_buffer_.pop_front();
+  Packet pkt = send_buffer_.pop_front();
   // Space packets at a lightly smoothed controller rate: the raw rate
   // carries per-epoch measurement noise, and pacing that follows it beat-
   // for-beat makes the arrival process bursty at the bottleneck (extra
@@ -108,7 +107,7 @@ void PelsSource::pace_next() {
   pace_event_ = sim_.after(spacing, [this] { pace_next(); });
 }
 
-void PelsSource::transmit(Packet pkt) {
+void PelsSource::transmit(Packet&& pkt) {
   pkt.created_at = sim_.now();
   if (cfg_.tcm_marking) {
     // Conformance-based recolouring (§2.1 comparator): the marker tracks a

@@ -29,6 +29,7 @@
 #include "net/tcm.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
+#include "util/ring_buffer.h"
 #include "util/stats.h"
 #include "video/fgs.h"
 #include "video/frame_size.h"
@@ -140,7 +141,7 @@ class PelsSource : public Agent {
   void on_frame_clock();
   void on_control_clock();
   void pace_next();
-  void transmit(Packet pkt);
+  void transmit(Packet&& pkt);
   void handle_ack(const AckInfo& ack);
   /// Cumulative FGS bytes sent no later than `t` (from the send history).
   std::uint64_t sent_fgs_bytes_at(SimTime t) const;
@@ -159,8 +160,9 @@ class PelsSource : public Agent {
   // Sender pacing: frames enqueue packets, the pacer drains them at the
   // controller rate. With constant scaling each frame exactly fills its
   // period; with R-D scaling large frames borrow time from small ones
-  // instead of bursting past the rate within their own period.
-  std::deque<Packet> send_buffer_;
+  // instead of bursting past the rate within their own period. A ring, so
+  // once it has grown to the largest frame it never allocates again.
+  RingBuffer<Packet> send_buffer_;
   EventId pace_event_ = 0;
   std::unique_ptr<SrTcmMarker> tcm_marker_;  // set iff cfg_.tcm_marking
 

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <array>
-#include <deque>
 
 #include "net/queue_disc.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 
 namespace pels {
@@ -25,7 +25,7 @@ class BernoulliDropQueue : public QueueDisc {
   void set_drop_probability(double p) { drop_probability_ = p; }
   double drop_probability() const { return drop_probability_; }
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return fifo_.empty() ? nullptr : &fifo_.front(); }
   std::size_t packet_count() const override { return fifo_.size(); }
@@ -36,7 +36,7 @@ class BernoulliDropQueue : public QueueDisc {
   double drop_probability_;
   std::size_t limit_packets_;
   std::array<bool, kNumColors> exempt_{};
-  std::deque<Packet> fifo_;
+  RingBuffer<Packet> fifo_;
   std::int64_t bytes_ = 0;
 };
 

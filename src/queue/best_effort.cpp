@@ -33,7 +33,7 @@ BestEffortQueue::BestEffortQueue(Scheduler& sched, Rng rng, BestEffortQueueConfi
   feedback_timer_.start();
 }
 
-bool BestEffortQueue::enqueue(Packet pkt) {
+bool BestEffortQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (pkt.color != Color::kInternet) {
     const bool is_fgs = pkt.color == Color::kYellow || pkt.color == Color::kRed;

@@ -46,7 +46,7 @@ class BestEffortQueue : public QueueDisc {
  public:
   BestEffortQueue(Scheduler& sched, Rng rng, BestEffortQueueConfig config);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return wrr_->peek(); }
   std::size_t packet_count() const override { return wrr_->packet_count(); }

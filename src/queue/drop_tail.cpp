@@ -11,7 +11,7 @@ DropTailQueue::DropTailQueue(std::size_t limit_packets, std::int64_t limit_bytes
   if (limit_packets_ != kUnlimitedPackets) fifo_.reserve(limit_packets_);
 }
 
-bool DropTailQueue::enqueue(Packet pkt) {
+bool DropTailQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (fifo_.size() + 1 > limit_packets_ || bytes_ + pkt.size_bytes > limit_bytes_) {
     note_drop(pkt);

@@ -2,7 +2,11 @@
 //
 // Backed by a RingBuffer, not std::deque: deque block churn costs roughly
 // one allocation per 4-5 packets, which would be the last remaining heap
-// traffic on the steady-state packet path (see util/ring_buffer.h).
+// traffic on the steady-state packet path (see util/ring_buffer.h). The ring
+// is reserved to the packet limit once, at construction; reserving only
+// allocates, so a 1000-packet edge queue that never holds more than a few
+// packets touches a few slots, not 112 KiB, and an emptied queue restarts
+// at its first slot.
 #pragma once
 
 #include <limits>
@@ -22,7 +26,7 @@ class DropTailQueue : public QueueDisc {
   explicit DropTailQueue(std::size_t limit_packets,
                          std::int64_t limit_bytes = kUnlimitedBytes);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override;
   std::size_t packet_count() const override { return fifo_.size(); }

@@ -73,7 +73,7 @@ PelsQueue::PelsQueue(Scheduler& sched, PelsQueueConfig config)
   feedback_timer_.start();
 }
 
-bool PelsQueue::enqueue(Packet pkt) {
+bool PelsQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   // S accumulates everything offered to the PELS group (including packets
   // about to be dropped): eq. (11) measures demand, not admitted traffic.

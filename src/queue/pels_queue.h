@@ -106,7 +106,7 @@ class PelsQueue : public QueueDisc {
  public:
   PelsQueue(Scheduler& sched, PelsQueueConfig config);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return wrr_->peek(); }
   std::size_t packet_count() const override { return wrr_->packet_count(); }

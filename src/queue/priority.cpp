@@ -17,7 +17,7 @@ StrictPriorityQueue::StrictPriorityQueue(std::vector<std::size_t> band_limits,
   }
 }
 
-bool StrictPriorityQueue::enqueue(Packet pkt) {
+bool StrictPriorityQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   const std::size_t band = classify_(pkt);
   assert(band < bands_.size() && "classifier returned out-of-range band");
@@ -34,8 +34,7 @@ bool StrictPriorityQueue::enqueue(Packet pkt) {
 std::optional<Packet> StrictPriorityQueue::dequeue() {
   for (auto& band : bands_) {
     if (band.empty()) continue;
-    Packet pkt = std::move(band.front());
-    band.pop_front();
+    Packet pkt = band.pop_front();
     total_bytes_ -= pkt.size_bytes;
     --total_packets_;
     counters().count_departure(pkt);

@@ -23,7 +23,7 @@ class StrictPriorityQueue : public QueueDisc {
   /// `band_limits[i]` is the packet capacity of band i.
   StrictPriorityQueue(std::vector<std::size_t> band_limits, Classifier classify);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override;
   std::size_t packet_count() const override { return total_packets_; }

@@ -52,7 +52,7 @@ bool RedQueue::early_drop_decision() {
   return false;
 }
 
-bool RedQueue::enqueue(Packet pkt) {
+bool RedQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   update_average();
   if (early_drop_decision() || fifo_.size() + 1 > cfg_.limit_packets) {
@@ -66,8 +66,7 @@ bool RedQueue::enqueue(Packet pkt) {
 
 std::optional<Packet> RedQueue::dequeue() {
   if (fifo_.empty()) return std::nullopt;
-  Packet pkt = std::move(fifo_.front());
-  fifo_.pop_front();
+  Packet pkt = fifo_.pop_front();
   bytes_ -= pkt.size_bytes;
   counters().count_departure(pkt);
   if (fifo_.empty()) {

@@ -11,10 +11,9 @@
 // FGS sections the way the PELS queue does.
 #pragma once
 
-#include <deque>
-
 #include "net/queue_disc.h"
 #include "sim/scheduler.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -36,7 +35,7 @@ class RedQueue : public QueueDisc {
  public:
   RedQueue(Scheduler& sched, Rng rng, RedConfig config);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return fifo_.empty() ? nullptr : &fifo_.front(); }
   std::size_t packet_count() const override { return fifo_.size(); }
@@ -52,7 +51,7 @@ class RedQueue : public QueueDisc {
   Scheduler& sched_;
   Rng rng_;
   RedConfig cfg_;
-  std::deque<Packet> fifo_;
+  RingBuffer<Packet> fifo_;
   std::int64_t bytes_ = 0;
   double avg_ = 0.0;
   int count_ = -1;           // packets since last early drop (-1 = fresh)

@@ -34,7 +34,7 @@ double RemQueue::mark_probability() const {
   return 1.0 - std::pow(cfg_.phi, -price_);
 }
 
-bool RemQueue::enqueue(Packet pkt) {
+bool RemQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (pkt.color != Color::kInternet) {
     interval_bytes_ += pkt.size_bytes;

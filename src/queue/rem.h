@@ -44,7 +44,7 @@ class RemQueue : public QueueDisc {
  public:
   RemQueue(Scheduler& sched, Rng rng, RemQueueConfig config);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return wrr_->peek(); }
   std::size_t packet_count() const override { return wrr_->packet_count(); }

@@ -16,7 +16,7 @@ TracingQueue::TracingQueue(std::unique_ptr<QueueDisc> inner, std::string locatio
   });
 }
 
-bool TracingQueue::enqueue(Packet pkt) {
+bool TracingQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   tracer_.record(sched_.now(), TraceEvent::kEnqueue, location_, pkt);
   return inner_->enqueue(std::move(pkt));

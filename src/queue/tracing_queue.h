@@ -26,7 +26,7 @@ class TracingQueue : public QueueDisc {
   TracingQueue(std::unique_ptr<QueueDisc> inner, std::string location, Scheduler& sched,
                PacketTracer& tracer);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue(Packet&& pkt) override;
   std::optional<Packet> dequeue() override;
   const Packet* peek() const override { return inner_->peek(); }
   std::size_t packet_count() const override { return inner_->packet_count(); }

@@ -22,7 +22,7 @@ WrrQueue::WrrQueue(std::vector<Child> children, Classifier classify, std::int64_
   }
 }
 
-bool WrrQueue::enqueue(Packet pkt) {
+bool WrrQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   const std::size_t idx = classify_(pkt);
   assert(idx < children_.size() && "classifier returned out-of-range child");

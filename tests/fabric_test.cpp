@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
@@ -52,7 +53,7 @@ TEST(FabricTest, ParkingLotRoutesEndToEnd) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   f.sim().run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
   EXPECT_EQ(f.core_links()[0]->packets_delivered(), 1u);
@@ -73,7 +74,7 @@ TEST(FabricTest, FatTreeGeometry) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   f.sim().run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
 }
@@ -98,7 +99,7 @@ TEST(FabricTest, FatTreeDomainPerPodMapsOntoDomains) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   runner.run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
   EXPECT_GT(runner.stats().handoffs, 0u);

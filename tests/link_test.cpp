@@ -36,7 +36,7 @@ Packet make_packet(std::int32_t size, std::uint64_t seq = 0) {
 class RecordingNode : public Node {
  public:
   RecordingNode(NodeId id, Simulation& sim) : Node(id, "rec"), sim_(sim) {}
-  void receive(Packet pkt) override {
+  void receive(Packet&& pkt) override {
     arrivals.emplace_back(sim_.now(), std::move(pkt));
   }
   std::vector<std::pair<SimTime, Packet>> arrivals;

@@ -169,7 +169,7 @@ TEST(FeedbackLabelTest, SenderRateRecoversAfterBottleneckClears) {
 class RecordingNode : public Node {
  public:
   RecordingNode(NodeId id, Simulation& sim) : Node(id, "rec"), sim_(sim) {}
-  void receive(Packet pkt) override {
+  void receive(Packet&& pkt) override {
     arrivals.emplace_back(sim_.now(), std::move(pkt));
   }
   std::vector<std::pair<SimTime, Packet>> arrivals;

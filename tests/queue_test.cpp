@@ -101,6 +101,44 @@ TEST(DropTailTest, PerColorCounters) {
   EXPECT_EQ(c.departures[static_cast<std::size_t>(Color::kGreen)], 1u);
 }
 
+// ---------------------------------------------------- enqueue(Packet&&)
+
+// QueueDisc::enqueue takes the packet by reference: a rejected packet stays
+// with the caller, who treats it as consumed. Its boxed AckInfo must be
+// released exactly once — by the caller's copy going out of scope — whatever
+// layer rejected it. AckInfo blocks recycle through a LIFO per-thread
+// freelist, so a released box is the next one handed out, and a box released
+// twice would be handed out twice in a row.
+TEST(QueueDiscTest, DroppedAckReleasesItsBoxExactlyOnce) {
+  std::vector<std::unique_ptr<QueueDisc>> queues;
+  queues.push_back(std::make_unique<DropTailQueue>(1));
+  queues.push_back(std::make_unique<StrictPriorityQueue>(std::vector<std::size_t>{1, 1, 1},
+                                                         &StrictPriorityQueue::classify_by_color));
+  std::vector<WrrQueue::Child> children;
+  children.push_back({std::make_unique<DropTailQueue>(1), 1.0});
+  queues.push_back(std::make_unique<WrrQueue>(std::move(children),
+                                              [](const Packet&) { return std::size_t{0}; }));
+  for (auto& q : queues) {
+    const AckInfo* reported = nullptr;
+    q->set_drop_handler([&](const Packet& p) { reported = p.is_ack() ? &*p.ack : nullptr; });
+    ASSERT_TRUE(q->enqueue(make_packet(100, Color::kGreen)));
+    const AckInfo* box = nullptr;
+    {
+      Packet ack = make_packet(40, Color::kAck);
+      ack.ack = AckInfo{};
+      box = &*ack.ack;
+      EXPECT_FALSE(q->enqueue(std::move(ack)));
+      EXPECT_EQ(reported, box);  // the drop handler saw the packet itself
+    }
+    Box<AckInfo> first;
+    Box<AckInfo> second;
+    first.emplace();
+    second.emplace();
+    EXPECT_EQ(&*first, box);   // released once, at the caller's scope end
+    EXPECT_NE(&*second, box);  // and not twice
+  }
+}
+
 // -------------------------------------------------------------- Bernoulli
 
 TEST(BernoulliTest, ZeroProbabilityDropsNothing) {

@@ -49,7 +49,9 @@ TEST(PacketTracerTest, EventCodeCoversEveryTraceEvent) {
   // All four codes are distinct — a text trace is unambiguous.
   for (const Case& a : kCases) {
     for (const Case& b : kCases) {
-      if (a.event != b.event) EXPECT_NE(a.code, b.code);
+      if (a.event != b.event) {
+        EXPECT_NE(a.code, b.code);
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 
 #include "util/arena.h"
 #include "util/inplace_function.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -348,6 +349,112 @@ TEST(InplaceFunctionTest, RelocatesInsideGrowingVector) {
 TEST(InplaceFunctionTest, CapacityIsCompileTimeConstant) {
   static_assert(InplaceFunction<void(), 64>::capacity() == 64);
   SUCCEED();
+}
+
+// ------------------------------------------------------------- RingBuffer
+
+std::vector<int> drain(RingBuffer<int>& ring) {
+  std::vector<int> out;
+  while (!ring.empty()) out.push_back(ring.pop_front());
+  return out;
+}
+
+TEST(RingBufferTest, FifoOrderAcrossWrapAround) {
+  RingBuffer<int> ring;
+  ring.reserve(8);
+  for (int i = 0; i < 6; ++i) ring.push_back(int{i});
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop_front(), i);
+  for (int i = 6; i < 11; ++i) ring.push_back(int{i});  // slots 6, 7, 0, 1, 2
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(ring.front(), 4);
+  EXPECT_EQ(ring.back(), 10);
+  EXPECT_EQ(drain(ring), (std::vector<int>{4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(RingBufferTest, FifoOrderAcrossGrowthWhileWrapped) {
+  RingBuffer<int> ring;
+  ring.reserve(8);
+  for (int i = 0; i < 6; ++i) ring.push_back(int{i});
+  for (int i = 0; i < 4; ++i) ring.pop_front();
+  for (int i = 6; i < 12; ++i) ring.push_back(int{i});  // full and wrapped
+  ASSERT_EQ(ring.capacity(), 8u);
+  ring.push_back(12);  // grows while the head sits mid-buffer
+  EXPECT_EQ(ring.capacity(), 16u);
+  for (std::size_t i = 0; i < ring.size(); ++i) EXPECT_EQ(ring.at(i), static_cast<int>(i) + 4);
+  EXPECT_EQ(drain(ring), (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11, 12}));
+}
+
+/// Element that records how often each id is destroyed while still owning
+/// it (a moved-from shell owns nothing), and how many it was constructed.
+struct Tracked {
+  static inline int constructions = 0;
+  static inline std::vector<int> destroyed;  // per id
+
+  explicit Tracked(int i) : id(i) { ++constructions; }
+  Tracked(Tracked&& other) noexcept : id(std::exchange(other.id, -1)) { ++constructions; }
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (id >= 0) ++destroyed[static_cast<std::size_t>(id)];
+  }
+
+  int id;
+};
+
+TEST(RingBufferTest, ReserveConstructsNoElement) {
+  Tracked::constructions = 0;
+  RingBuffer<Tracked> ring;
+  ring.reserve(1000);
+  EXPECT_EQ(ring.capacity(), 1024u);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(Tracked::constructions, 0);
+}
+
+TEST(RingBufferTest, EveryPushedElementIsDestroyedExactlyOnce) {
+  constexpr int kN = 40;
+  Tracked::destroyed.assign(kN, 0);
+  int next = 0;
+  {
+    RingBuffer<Tracked> ring;
+    for (; next < 10; ++next) ring.emplace_back(next);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop_front().id, i);  // pop
+    for (; next < 20; ++next) ring.emplace_back(next);              // wraps, grows
+    ring.clear();                                                   // clear
+    EXPECT_TRUE(ring.empty());
+    for (; next < 25; ++next) ring.emplace_back(next);
+    RingBuffer<Tracked> other;
+    for (; next < 32; ++next) other.emplace_back(next);
+    ring = std::move(other);  // move-assignment destroys ring's 20..24
+    for (int i = 20; i < 25; ++i) EXPECT_EQ(Tracked::destroyed[static_cast<std::size_t>(i)], 1);
+    RingBuffer<Tracked> moved(std::move(ring));
+    for (; next < kN; ++next) moved.emplace_back(next);
+  }  // destructor: 25..39
+  for (int i = 0; i < kN; ++i) EXPECT_EQ(Tracked::destroyed[static_cast<std::size_t>(i)], 1) << i;
+}
+
+TEST(RingBufferTest, HoldsMoveOnlyValues) {
+  RingBuffer<std::unique_ptr<int>> ring;
+  for (int i = 0; i < 20; ++i) ring.push_back(std::make_unique<int>(i));  // grows twice
+  for (int i = 0; i < 20; ++i) {
+    auto p = ring.pop_front();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, i);
+  }
+}
+
+TEST(RingBufferTest, DrainedRingRestartsAtSlotZero) {
+  RingBuffer<int> ring;
+  ring.reserve(1000);
+  ring.push_back(0);
+  const int* first_slot = &ring.front();
+  for (int cycle = 1; cycle < 50; ++cycle) {
+    ring.pop_front();
+    ring.push_back(int{cycle});
+    EXPECT_EQ(&ring.front(), first_slot);  // one packet at a time: one slot
+  }
+  for (int i = 0; i < 5; ++i) ring.push_back(int{i});
+  while (!ring.empty()) ring.pop_front();
+  ring.push_back(7);
+  EXPECT_EQ(&ring.front(), first_slot);
 }
 
 // ----------------------------------------------------------- TablePrinter
