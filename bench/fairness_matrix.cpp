@@ -66,10 +66,13 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_fairness.json";
   std::string label = "now";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-    else {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+      label = argv[++i];
+    } else {
       std::cerr << "unknown argument: " << argv[i] << "\n";
       return 2;
     }

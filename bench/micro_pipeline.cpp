@@ -347,9 +347,13 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_pipeline.json";
   std::string label = "now";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+      label = argv[++i];
+    }
   }
   const SimTime pipeline_duration = (smoke ? 2 : 30) * kSecond;
   const SimTime sweep_duration = (smoke ? 1 : 10) * kSecond;

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "analysis/stability.h"
-#include "pels/multihop.h"
+#include "pels/scenario.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -19,59 +19,58 @@ using namespace pels;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  ParkingLotConfig cfg;
-  cfg.long_flows = 1;
-  cfg.cross_flows_hop1 = static_cast<int>(args.get_int("hop1", 1));
-  cfg.cross_flows_hop2 = static_cast<int>(args.get_int("hop2", 3));
+  const int cross_hop1 = static_cast<int>(args.get_int("hop1", 1));
+  const int cross_hop2 = static_cast<int>(args.get_int("hop2", 3));
+  ScenarioConfig cfg = parking_lot_config(cross_hop1, cross_hop2);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const double seconds = args.get_double("seconds", 40.0);
 
-  ParkingLotScenario s(cfg);
+  DumbbellScenario s(cfg);
+  const std::int32_t router1 = cfg.pels_queue.router_id;
+  const std::int32_t router2 = router1 + 1;
   const SimTime duration = from_seconds(seconds);
   s.run_until(duration);
   s.finish();
 
-  std::cout << "Parking lot: 1 long flow + " << cfg.cross_flows_hop1
-            << " cross flow(s) on hop 1 + " << cfg.cross_flows_hop2
-            << " on hop 2, both bottlenecks 4 mb/s (PELS share 2 mb/s), " << seconds
+  std::cout << "Parking lot: 1 long flow + " << cross_hop1 << " cross flow(s) on hop 1 + "
+            << cross_hop2 << " on hop 2, both bottlenecks 4 mb/s (PELS share 2 mb/s), " << seconds
             << " s\n";
 
   print_banner(std::cout, "Who governs the long flow?");
   TablePrinter gov({"router", "labels consumed by long flow", "queue FGS loss"});
   gov.add_row({"R1 (hop 1)",
                TablePrinter::fmt_int(static_cast<long long>(
-                   s.long_flow(0).feedback_consumed(ParkingLotScenario::kRouter1))),
-               TablePrinter::fmt(s.bottleneck1().current_fgs_loss(), 3)});
+                   s.source(0).feedback_consumed(router1))),
+               TablePrinter::fmt(s.pels_queue(0)->current_fgs_loss(), 3)});
   gov.add_row({"R2 (hop 2)",
                TablePrinter::fmt_int(static_cast<long long>(
-                   s.long_flow(0).feedback_consumed(ParkingLotScenario::kRouter2))),
-               TablePrinter::fmt(s.bottleneck2().current_fgs_loss(), 3)});
+                   s.source(0).feedback_consumed(router2))),
+               TablePrinter::fmt(s.pels_queue(1)->current_fgs_loss(), 3)});
   gov.print(std::cout);
   std::cout << "governing router (majority of consumed labels): R"
-            << s.long_flow(0).governing_router() << "\n";
+            << s.source(0).governing_router() << "\n";
 
   print_banner(std::cout, "Max-min allocation");
   const SimTime tail = duration / 2;
   TablePrinter rates({"flow", "rate (kb/s)", "note"});
   rates.add_row({"long (both hops)",
-                 TablePrinter::fmt(s.long_flow(0).rate_series().mean_in(tail, duration) / 1e3, 0),
+                 TablePrinter::fmt(s.source(0).rate_series().mean_in(tail, duration) / 1e3, 0),
                  "matches peers on the tight hop"});
   rates.add_row({"cross hop 1",
-                 TablePrinter::fmt(
-                     s.cross_flow_hop1(0).rate_series().mean_in(tail, duration) / 1e3, 0),
+                 TablePrinter::fmt(s.source(1).rate_series().mean_in(tail, duration) / 1e3, 0),
                  "soaks the slack the long flow leaves"});
   rates.add_row({"cross hop 2",
                  TablePrinter::fmt(
-                     s.cross_flow_hop2(0).rate_series().mean_in(tail, duration) / 1e3, 0),
+                     s.source(1 + cross_hop1).rate_series().mean_in(tail, duration) / 1e3, 0),
                  "peer of the long flow"});
   rates.print(std::cout);
 
-  const int hop2_flows = 1 + cfg.cross_flows_hop2;
+  const int hop2_flows = 1 + cross_hop2;
   std::cout << "\nstationary prediction on hop 2: C/N + alpha/beta = "
-            << TablePrinter::fmt(mkc_stationary_rate(s.bottleneck2().pels_capacity_bps(),
+            << TablePrinter::fmt(mkc_stationary_rate(s.pels_queue(1)->pels_capacity_bps(),
                                                      hop2_flows, cfg.mkc.alpha_bps,
                                                      cfg.mkc.beta) / 1e3, 0)
             << " kb/s\nlong-flow FGS utility across two AQMs: "
-            << TablePrinter::fmt(s.long_sink(0).mean_utility(), 3) << "\n";
+            << TablePrinter::fmt(s.sink(0).mean_utility(), 3) << "\n";
   return 0;
 }

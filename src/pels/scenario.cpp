@@ -1,5 +1,6 @@
 #include "pels/scenario.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
@@ -27,6 +28,12 @@ void ScenarioConfig::validate() const {
   require(edge_delay >= 0 && bottleneck_delay >= 0, "delays must be >= 0");
   for (const SimTime d : edge_delays)
     require(d >= 0, "edge_delays entries must be >= 0");
+  for (const auto& [first, last] : pels_paths)
+    require(first >= 0 && first < last, "pels_paths entries need 0 <= first < second");
+  require(pels_paths.size() <= static_cast<std::size_t>(pels_flows),
+          "pels_paths has more entries than pels_flows");
+  require(hop_count() == 1 || bottleneck == BottleneckKind::kPels,
+          "only a PELS bottleneck may span more than one hop");
   require(edge_queue_limit > 0, "edge_queue_limit must be > 0");
   require(ack_loss >= 0.0 && ack_loss < 1.0, "ack_loss must be in [0, 1)");
   require(wireless_loss >= 0.0 && wireless_loss < 1.0,
@@ -61,6 +68,25 @@ void ScenarioConfig::validate() const {
           "restartable feedback meter)");
 }
 
+int ScenarioConfig::hop_count() const {
+  int hops = 1;
+  for (const auto& path : pels_paths) hops = std::max(hops, path.second);
+  return hops;
+}
+
+ScenarioConfig parking_lot_config(int cross_hop1, int cross_hop2) {
+  ScenarioConfig cfg;
+  cfg.pels_flows = 1 + cross_hop1 + cross_hop2;
+  cfg.tcp_flows = 0;
+  cfg.edge_bps = 20e6;
+  cfg.edge_queue_limit = 2000;
+  cfg.pels_queue.router_id = 1;
+  cfg.pels_paths.push_back({0, 2});
+  cfg.pels_paths.insert(cfg.pels_paths.end(), static_cast<std::size_t>(cross_hop1), {0, 1});
+  cfg.pels_paths.insert(cfg.pels_paths.end(), static_cast<std::size_t>(cross_hop2), {1, 2});
+  return cfg;
+}
+
 std::vector<SimTime> staircase_starts(int flows, int per_step, SimTime step) {
   assert(flows > 0 && per_step > 0);
   std::vector<SimTime> starts;
@@ -76,43 +102,46 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   // heap-only from the first timer onward.
   sim_.scheduler().set_wheel_enabled(cfg_.scheduler_wheel);
 
-  Router& r1 = topo_.add_router("R1");
-  Router& r2 = topo_.add_router("R2");
+  const int hops = cfg_.hop_count();
+  // Routers are nodes 0..hops, so hop h runs node(h) -> node(h + 1).
+  for (int r = 0; r <= hops; ++r) topo_.add_router("R" + std::to_string(r + 1));
 
   const QueueFactory edge_queue = [this](double) {
     return std::make_unique<DropTailQueue>(cfg_.edge_queue_limit);
   };
 
-  // Bottleneck R1 -> R2 carries the AQM under study; the reverse direction
-  // (ACKs) is a plain generously-sized FIFO.
-  const QueueFactory bottleneck_factory = [this](double bw) -> std::unique_ptr<QueueDisc> {
-    switch (cfg_.bottleneck) {
-      case BottleneckKind::kPels: {
-        PelsQueueConfig qc = cfg_.pels_queue;
-        qc.link_bandwidth_bps = bw;
-        auto q = std::make_unique<PelsQueue>(sim_.scheduler(), qc);
-        pels_queue_ = q.get();
-        return q;
+  // Each hop's forward link carries the AQM under study; hop h's PELS queue
+  // stamps router id pels_queue.router_id + h. The reverse direction (ACKs)
+  // is a plain generously-sized FIFO.
+  const auto bottleneck_factory = [this](int hop) -> QueueFactory {
+    return [this, hop](double bw) -> std::unique_ptr<QueueDisc> {
+      switch (cfg_.bottleneck) {
+        case BottleneckKind::kPels: {
+          PelsQueueConfig qc = cfg_.pels_queue;
+          qc.router_id += hop;
+          qc.link_bandwidth_bps = bw;
+          auto q = std::make_unique<PelsQueue>(sim_.scheduler(), qc);
+          pels_queues_.push_back(q.get());
+          return q;
+        }
+        case BottleneckKind::kRem: {
+          RemQueueConfig qc = cfg_.rem_queue;
+          qc.link_bandwidth_bps = bw;
+          auto q = std::make_unique<RemQueue>(sim_.scheduler(), sim_.make_rng(0x4E4), qc);
+          rem_queue_ = q.get();
+          return q;
+        }
+        case BottleneckKind::kBestEffort:
+          break;
       }
-      case BottleneckKind::kRem: {
-        RemQueueConfig qc = cfg_.rem_queue;
-        qc.link_bandwidth_bps = bw;
-        auto q = std::make_unique<RemQueue>(sim_.scheduler(), sim_.make_rng(0x4E4), qc);
-        rem_queue_ = q.get();
-        return q;
-      }
-      case BottleneckKind::kBestEffort:
-        break;
-    }
-    BestEffortQueueConfig qc = cfg_.best_effort_queue;
-    qc.link_bandwidth_bps = bw;
-    auto q = std::make_unique<BestEffortQueue>(sim_.scheduler(), sim_.make_rng(0xBE), qc);
-    best_effort_queue_ = q.get();
-    return q;
+      BestEffortQueueConfig qc = cfg_.best_effort_queue;
+      qc.link_bandwidth_bps = bw;
+      auto q = std::make_unique<BestEffortQueue>(sim_.scheduler(), sim_.make_rng(0xBE), qc);
+      best_effort_queue_ = q.get();
+      return q;
+    };
   };
-  Link& forward =
-      topo_.add_link(r1, r2, cfg_.bottleneck_bps, cfg_.bottleneck_delay, bottleneck_factory);
-  // Reverse direction carries ACKs; optionally lossy for robustness tests.
+  // Hop 0's reverse direction is optionally lossy for robustness tests.
   const QueueFactory reverse_queue = [this](double) -> std::unique_ptr<QueueDisc> {
     if (cfg_.ack_loss > 0.0) {
       return std::make_unique<BernoulliDropQueue>(sim_.make_rng(0xACC), cfg_.ack_loss,
@@ -120,26 +149,36 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
     }
     return std::make_unique<DropTailQueue>(cfg_.edge_queue_limit);
   };
-  Link& reverse =
-      topo_.add_link(r2, r1, cfg_.bottleneck_bps, cfg_.bottleneck_delay, reverse_queue);
+  if (cfg_.bottleneck == BottleneckKind::kPels) {
+    pels_queues_.reserve(static_cast<std::size_t>(hops));
+  }
+  for (int h = 0; h < hops; ++h) {
+    Node& in = topo_.node(h);
+    Node& out = topo_.node(h + 1);
+    topo_.add_link(in, out, cfg_.bottleneck_bps, cfg_.bottleneck_delay, bottleneck_factory(h));
+    topo_.add_link(out, in, cfg_.bottleneck_bps, cfg_.bottleneck_delay,
+                   h == 0 ? reverse_queue : edge_queue);
+  }
+  Link& forward = topo_.link(0);
+  Link& reverse = topo_.link(1);
   bottleneck_ = &forward.queue();
   bottleneck_link_ = &forward;
-  reverse_link_ = &reverse;
   if (cfg_.wireless_loss > 0.0) {
     forward.set_corruption(cfg_.wireless_loss, sim_.make_rng(0xA17));
   }
 
-  // Schedule the fault plan. Brown-outs resize the PELS queue's capacity
-  // share along with the wire (a real router sees its interface renegotiate);
-  // the comparator queues keep their construction-time capacity, matching
-  // set_bottleneck_bandwidth.
+  // Schedule the fault plan on hop 0. Brown-outs resize the PELS queue's
+  // capacity share along with the wire (a real router sees its interface
+  // renegotiate); the comparator queues keep their construction-time
+  // capacity, matching set_bottleneck_bandwidth.
   if (!cfg_.faults.empty()) {
     FaultInjector injector(sim_);
     FaultInjector::BandwidthHook hook;
-    if (PelsQueue* q = pels_queue_) {
+    PelsQueue* q = pels_queue(0);
+    if (q != nullptr) {
       hook = [q](double bw) { q->set_link_bandwidth(bw); };
     }
-    injector.apply(cfg_.faults, forward, reverse, pels_queue_, std::move(hook));
+    injector.apply(cfg_.faults, forward, reverse, q, std::move(hook));
   }
 
   // The comparator source sends the whole FGS prefix unpartitioned.
@@ -161,11 +200,14 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   };
 
   for (int i = 0; i < cfg_.pels_flows; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    const auto [first, last] =
+        idx < cfg_.pels_paths.size() ? cfg_.pels_paths[idx] : std::pair{0, hops};
     Host& src_host = topo_.add_host("src" + std::to_string(i));
     Host& dst_host = topo_.add_host("dst" + std::to_string(i));
     const SimTime edge_delay = edge_delay_for(i);
-    topo_.connect(src_host, r1, cfg_.edge_bps, edge_delay, edge_queue);
-    topo_.connect(r2, dst_host, cfg_.edge_bps, edge_delay, edge_queue);
+    topo_.connect(src_host, topo_.node(first), cfg_.edge_bps, edge_delay, edge_queue);
+    topo_.connect(topo_.node(last), dst_host, cfg_.edge_bps, edge_delay, edge_queue);
 
     const FlowSlot slot = flow_table_->add_flow();
     std::unique_ptr<CongestionController> controller;
@@ -190,8 +232,8 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
     Host& src_host = topo_.add_host("tcp" + std::to_string(i));
     Host& dst_host = topo_.add_host("tsink" + std::to_string(i));
     const SimTime edge_delay = edge_delay_for(cfg_.pels_flows + i);
-    topo_.connect(src_host, r1, cfg_.edge_bps, edge_delay, edge_queue);
-    topo_.connect(r2, dst_host, cfg_.edge_bps, edge_delay, edge_queue);
+    topo_.connect(src_host, topo_.node(0), cfg_.edge_bps, edge_delay, edge_queue);
+    topo_.connect(topo_.node(hops), dst_host, cfg_.edge_bps, edge_delay, edge_queue);
     const auto flow = static_cast<FlowId>(1000 + i);
     tcp_sinks_.push_back(std::make_unique<TcpSink>(dst_host, flow, src_host.id()));
     tcp_sources_.push_back(std::make_unique<TcpLikeSource>(sim_, src_host, flow, dst_host.id()));
@@ -258,17 +300,20 @@ void DumbbellScenario::setup_invariants() {
     return true;
   });
 
-  // Per-band occupancy bounds at the PELS bottleneck. With merge_fgs_bands
-  // the yellow band absorbs the red budget and the red band stays empty;
-  // red_limit still bounds band 2 in both modes.
-  if (pels_queue_ != nullptr) {
-    invariants_->add_check("bottleneck.band_bounds", [this](std::string& detail) {
-      const PelsQueueConfig& qc = pels_queue_->config();
+  // Per-band occupancy bounds at every PELS hop, one check per hop (hop 0
+  // keeps the dumbbell's name). With merge_fgs_bands the yellow band absorbs
+  // the red budget and the red band stays empty; red_limit still bounds
+  // band 2 in both modes.
+  for (std::size_t h = 0; h < pels_queues_.size(); ++h) {
+    const PelsQueue* q = pels_queues_[h];
+    std::string name =
+        h == 0 ? "bottleneck.band_bounds" : "hop" + std::to_string(h) + ".band_bounds";
+    invariants_->add_check(std::move(name), [q](std::string& detail) {
+      const PelsQueueConfig& qc = q->config();
       const std::size_t yellow_cap =
           qc.merge_fgs_bands ? qc.yellow_limit + qc.red_limit : qc.yellow_limit;
-      const std::size_t bands[3] = {pels_queue_->band_packet_count(0),
-                                    pels_queue_->band_packet_count(1),
-                                    pels_queue_->band_packet_count(2)};
+      const std::size_t bands[3] = {q->band_packet_count(0), q->band_packet_count(1),
+                                    q->band_packet_count(2)};
       const std::size_t caps[3] = {qc.green_limit, yellow_cap, qc.red_limit};
       for (std::size_t b = 0; b < 3; ++b) {
         if (bands[b] > caps[b]) {
@@ -278,7 +323,7 @@ void DumbbellScenario::setup_invariants() {
           return false;
         }
       }
-      const std::size_t total = pels_queue_->packet_count();
+      const std::size_t total = q->packet_count();
       const std::size_t cap =
           qc.green_limit + qc.yellow_limit + qc.red_limit + qc.internet_limit;
       if (total > cap) {
@@ -330,7 +375,7 @@ void DumbbellScenario::setup_invariants() {
 
 void DumbbellScenario::setup_telemetry() {
   metrics_ = std::make_unique<MetricsRegistry>();
-  if (pels_queue_ != nullptr) pels_queue_->register_metrics(*metrics_, "bottleneck");
+  if (PelsQueue* q = pels_queue(0)) q->register_metrics(*metrics_, "bottleneck");
   bottleneck_link_->register_metrics(*metrics_, "bottleneck.link");
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     sources_[i]->register_metrics(*metrics_, "flow" + std::to_string(i));
@@ -370,14 +415,16 @@ void DumbbellScenario::setup_telemetry() {
 QueueDisc& DumbbellScenario::bottleneck_queue() { return *bottleneck_; }
 
 double DumbbellScenario::video_capacity_bps() const {
-  if (pels_queue_ != nullptr) return pels_queue_->pels_capacity_bps();
+  if (!pels_queues_.empty()) return pels_queues_[0]->pels_capacity_bps();
   if (rem_queue_ != nullptr) return rem_queue_->video_capacity_bps();
   return best_effort_queue_->video_capacity_bps();
 }
 
-void DumbbellScenario::set_bottleneck_bandwidth(double bandwidth_bps) {
-  bottleneck_link_->set_bandwidth_bps(bandwidth_bps);
-  if (pels_queue_ != nullptr) pels_queue_->set_link_bandwidth(bandwidth_bps);
+void DumbbellScenario::set_bottleneck_bandwidth(double bandwidth_bps, int hop) {
+  if (hop < 0 || hop >= cfg_.hop_count())
+    throw std::out_of_range("set_bottleneck_bandwidth: no such hop");
+  topo_.link(2 * static_cast<std::size_t>(hop)).set_bandwidth_bps(bandwidth_bps);
+  if (PelsQueue* q = pels_queue(hop)) q->set_link_bandwidth(bandwidth_bps);
   // The best-effort comparator keeps its construction-time capacity: it
   // exists only for fixed-loss PSNR comparisons.
 }

@@ -1,17 +1,36 @@
-// Canned simulation scenario: the paper's bar-bell topology (Fig. 6).
+// Canned simulation scenario: the paper's bar-bell topology (Fig. 6),
+// generalised to a chain of PELS hops.
 //
-//   src_0..N  --10mb/s-->  R1  --4mb/s (PELS AQM)-->  R2  --10mb/s--> dst_0..N
-//   tcp_0..M  --10mb/s-->  R1                         R2  --10mb/s--> tsink_0..M
+//   src_k --10mb/s--> R1 ==hop 0==> R2 ==hop 1==> ... ==> R(H+1) --10mb/s--> dst_k
+//   tcp_j --10mb/s--> R1                                  R(H+1) --10mb/s--> tsink_j
 //
-// N PELS video flows and M greedy TCP cross-traffic flows share the
-// bottleneck; WRR gives the Internet queue its configured share (50% in
-// §6.1). The scenario wires topology, agents, and periodic samplers for the
-// per-colour loss rates at the bottleneck, and exposes everything the bench
-// harnesses need.
+// Hop h is the bottleneck R(h+1) -> R(h+2) (4 mb/s, PELS AQM stamping router
+// id pels_queue.router_id + h) plus its reverse FIFO at the same rate. PELS
+// flow k enters at router pels_paths[k].first and leaves at
+// pels_paths[k].second (0-based; default: across every hop); TCP flows cross
+// every hop. With no paths, H = 1: the dumbbell, N PELS video flows and M
+// greedy TCP flows sharing one bottleneck where WRR gives the Internet queue
+// its configured share (50% in §6.1).
+//
+// Two hops with cross flows on each are §5.2's parking lot
+// (parking_lot_config below):
+//
+//   long flow:    src_0 -> R1 ==hop 0==> R2 ==hop 1==> R3 -> dst_0
+//   cross hop 0:  src_k -> R1 ==hop 0==> R2 -> dst_k
+//   cross hop 1:  src_k ----------------> R2 ==hop 1==> R3 -> dst_k
+//
+// Each router overrides the in-band label only with a larger loss, so the
+// long flow follows whichever hop is more congested (max-min) and re-binds
+// when the bottleneck moves.
+//
+// The scenario wires topology, agents, and periodic samplers for the
+// per-colour loss rates at hop 0, and exposes everything the bench harnesses
+// need.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cc/flow_table.h"
@@ -53,6 +72,12 @@ struct ScenarioConfig {
   /// stays common. Empty (default) = uniform edge_delay everywhere.
   std::vector<SimTime> edge_delays;
   SimTime bottleneck_delay = from_millis(10);
+  /// Router span per PELS flow: flow k enters at router pels_paths[k].first
+  /// and leaves at .second (routers are numbered 0..hops, R1 is 0) and so
+  /// crosses hops first..second-1. Flows without an entry cross every hop.
+  /// The hop count is the largest .second, or 1 when empty (the dumbbell).
+  /// Only a PELS bottleneck may span more than one hop.
+  std::vector<std::pair<int, int>> pels_paths;
   std::size_t edge_queue_limit = 1000;  // packets; edges should not drop
 
   PelsQueueConfig pels_queue;            // link_bandwidth_bps is overwritten
@@ -85,7 +110,7 @@ struct ScenarioConfig {
                                                       FlowSlot slot)>
       make_controller;
 
-  /// Scripted fault schedule applied to the bottleneck: link flaps and
+  /// Scripted fault schedule applied to hop 0: link flaps and
   /// brown-outs on the forward direction, ACK blackouts on the reverse,
   /// router restarts on the PELS queue, Gilbert–Elliott burst corruption on
   /// the forward wire. Deterministic given `seed`. Empty = fault-free run.
@@ -119,11 +144,21 @@ struct ScenarioConfig {
 
   /// Rejects nonsensical parameters (probabilities outside [0,1), gains
   /// outside their stability regions, non-positive bandwidths/intervals,
-  /// restarts without a PELS bottleneck) with std::invalid_argument. Called
+  /// restarts without a PELS bottleneck, paths outside the chain, more than
+  /// one comparator hop) with std::invalid_argument. Called
   /// by the DumbbellScenario constructor — a bad config fails fast instead
   /// of producing a silently absurd simulation.
   void validate() const;
+
+  /// Number of bottleneck hops: the largest pels_paths .second, or 1.
+  int hop_count() const;
 };
+
+/// The paper's §5.2 parking lot as a two-hop chain: flow 0 crosses both
+/// hops, the next `cross_hop1` flows only hop 0, the last `cross_hop2` only
+/// hop 1. The hops stamp router ids 1 and 2; edges run at 20 mb/s with
+/// 2000-packet FIFOs, and there is no TCP flow.
+ScenarioConfig parking_lot_config(int cross_hop1, int cross_hop2);
 
 /// Convenience: start times 0, t, 2t, ... for a staircase join pattern
 /// (two flows per step is Fig. 8/9's "two new flows every 50 seconds").
@@ -139,29 +174,33 @@ class DumbbellScenario {
   void finish();
 
   Simulation& sim() { return sim_; }
-  /// The underlying graph — link 0 is the forward bottleneck, link 1 the
-  /// reverse (ACK) direction. Exposed for invariant checks and fault tooling
-  /// that need per-link counters.
+  /// The underlying graph — nodes 0..hops are the routers; links 2h and
+  /// 2h+1 are hop h's forward bottleneck and reverse (ACK) direction. Exposed
+  /// for invariant checks and fault tooling that need per-link counters.
   Topology& topology() { return topo_; }
   int pels_flow_count() const { return cfg_.pels_flows; }
   PelsSource& source(int i) { return *sources_.at(static_cast<std::size_t>(i)); }
   PelsSink& sink(int i) { return *sinks_.at(static_cast<std::size_t>(i)); }
   TcpLikeSource& tcp_source(int i) { return *tcp_sources_.at(static_cast<std::size_t>(i)); }
 
-  /// Bottleneck queue views (exactly one is non-null, per `bottleneck`).
-  PelsQueue* pels_queue() { return pels_queue_; }
+  /// Bottleneck queue views (exactly one kind is non-null, per `bottleneck`;
+  /// the comparators exist on hop 0 only).
+  PelsQueue* pels_queue(int hop = 0) {
+    return pels_queues_.empty() ? nullptr : pels_queues_.at(static_cast<std::size_t>(hop));
+  }
   BestEffortQueue* best_effort_queue() { return best_effort_queue_; }
   RemQueue* rem_queue() { return rem_queue_; }
   QueueDisc& bottleneck_queue();
 
-  /// Capacity share of the video/PELS class at the bottleneck, bits/s.
+  /// Capacity share of the video/PELS class at hop 0, bits/s.
   double video_capacity_bps() const;
 
-  /// Degrades/upgrades the forward bottleneck link mid-run (failure
-  /// injection): adjusts both the wire rate and the AQM's capacity share.
-  void set_bottleneck_bandwidth(double bandwidth_bps);
+  /// Degrades/upgrades hop `hop`'s forward bottleneck link mid-run (failure
+  /// injection, bottleneck shifts): adjusts both the wire rate and the AQM's
+  /// capacity share.
+  void set_bottleneck_bandwidth(double bandwidth_bps, int hop = 0);
 
-  /// Loss rate of `c`-coloured packets at the bottleneck per sample interval
+  /// Loss rate of `c`-coloured packets at hop 0 per sample interval
   /// (drops/arrivals within the interval; 0 when no arrivals).
   const TimeSeries& loss_series(Color c) const {
     return loss_series_[static_cast<std::size_t>(c)];
@@ -201,12 +240,11 @@ class DumbbellScenario {
   RdModel rd_;
   std::unique_ptr<FlowTable> flow_table_;
 
-  PelsQueue* pels_queue_ = nullptr;
+  std::vector<PelsQueue*> pels_queues_;  // one per hop; empty for comparators
   BestEffortQueue* best_effort_queue_ = nullptr;
   RemQueue* rem_queue_ = nullptr;
-  QueueDisc* bottleneck_ = nullptr;
-  Link* bottleneck_link_ = nullptr;
-  Link* reverse_link_ = nullptr;
+  QueueDisc* bottleneck_ = nullptr;  // hop 0's queue
+  Link* bottleneck_link_ = nullptr;  // hop 0's forward link
 
   std::vector<std::unique_ptr<PelsSource>> sources_;
   std::vector<std::unique_ptr<PelsSink>> sinks_;

@@ -97,10 +97,15 @@ struct Parser {
           for (int i = 0; i < 4; ++i) {
             const char h = text[pos++];
             code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail(pos - 1, "bad \\u digit");
+            if (h >= '0' && h <= '9') {
+              code |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              fail(pos - 1, "bad \\u digit");
+            }
           }
           // Our writers only emit \u00XX for control bytes; decode the BMP
           // point as UTF-8 so round-trips are lossless for those.
